@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticcheck examples serve-smoke obs-smoke shard-smoke chaos bench-smoke bench-json pprof pprof-ground ci
+.PHONY: all build test race vet staticcheck examples serve-smoke obs-smoke shard-smoke sysbench-test chaos bench-smoke bench-json pprof pprof-ground ci
 
 all: build
 
@@ -54,6 +54,13 @@ obs-smoke:
 shard-smoke:
 	$(GO) test -run TestShardSmoke -count=1 -v .
 
+# System benchmark module (sysbench/, its own go.mod): `go build ./...` at
+# the root does not build it, so an engine API change can break the
+# benchmark unnoticed; this target vets and tests it against the checkout.
+sysbench-test:
+	$(GO) -C sysbench vet ./...
+	$(GO) -C sysbench test ./...
+
 # Chaos smoke: the fault-injection suite under the race detector — the
 # PR 8 acceptance soak (coordination groups stay all-or-nothing while
 # connections reset and the server sheds) plus the WAL torn-write sweeps
@@ -106,4 +113,4 @@ pprof-ground:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure6bScale/scale=10x' -benchtime 5x -cpuprofile ground-cpu.prof -memprofile ground-mem.prof .
 	@echo "inspect with: $(GO) tool pprof ground-cpu.prof   (or ground-mem.prof)"
 
-ci: build vet staticcheck test race
+ci: build vet staticcheck test sysbench-test race

@@ -22,6 +22,7 @@ import (
 	"repro/entangle"
 	"repro/entangle/client"
 	"repro/internal/eq"
+	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/lock"
 	"repro/internal/obs"
@@ -87,9 +88,9 @@ func BenchmarkFigure6b(b *testing.B) {
 // BenchmarkFigure6bGroundWorkers reruns the Figure 6(b) pending-queries
 // sweep serial vs parallel: workers=1 reproduces the paper's serialized
 // middle-tier evaluation (per-run cost linear in p), workers=16 overlaps
-// the simulated grounding round trips across the pool. The parallel series
-// should beat the serial one from p≈8 pending queries up, which is the
-// tentpole claim of the concurrent run-evaluation pipeline.
+// the grounding round trips (the harness's eq.ground delay) across the
+// pool. The parallel series should beat the serial one from p≈8 pending
+// queries up, which is the claim of the concurrent run-evaluation pipeline.
 func BenchmarkFigure6bGroundWorkers(b *testing.B) {
 	for _, workers := range []int{1, 16} {
 		for _, p := range []int{2, 8, 16, 32} {
@@ -159,13 +160,12 @@ func BenchmarkFigure6c(b *testing.B) {
 // re-grounded in one evaluation round over a wide Flights table at 10x and
 // 100x the seed size (the regime where re-grounding cost is the paper's
 // middle-tier bottleneck). path=streaming pulls rows through the batch
-// cursor pipeline the engine now uses — one id capture per table per round,
-// zero row clones; path=materialized is the pre-streaming executor — one
-// cloned table snapshot per round shared across the p queries. The bytes
-// metric (B/op, via ReportAllocs) carries the tentpole claim: streaming
-// allocates ≥10x fewer bytes per round at 10x scale, and the 100x shape
-// completes with the resident set bounded by the batch size
-// (peak-batch-rows metric), not the table.
+// cursor pipeline the engine uses — one id capture per table per round,
+// zero row clones. The bytes metric (B/op, via ReportAllocs) carries the
+// claim: at 10x scale streaming allocates ≥10x fewer bytes per round than
+// the pre-streaming executor on the same shape (BenchmarkGroundMaterialized
+// in internal/eq), and the 100x shape completes with the resident set
+// bounded by the batch size (peak-batch-rows metric), not the table.
 func BenchmarkFigure6bScale(b *testing.B) {
 	const p = 8 // pending queries re-grounded per round
 	pending := func(j int) *eq.Query {
@@ -178,12 +178,11 @@ func BenchmarkFigure6bScale(b *testing.B) {
 		}
 	}
 	for _, scale := range []struct {
-		name         string
-		rows         int
-		materialized bool // the 100x shape only runs the streaming path
+		name string
+		rows int
 	}{
-		{"10x", 20_000, true},
-		{"100x", 200_000, false},
+		{"10x", 20_000},
+		{"100x", 200_000},
 	} {
 		tbl := scaleFlightsTable(b, scale.rows)
 		snap := storage.Snapshot{CSN: 0}
@@ -203,24 +202,6 @@ func BenchmarkFigure6bScale(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(stats.PeakBatchRows()), "peak-batch-rows")
-		})
-		if !scale.materialized {
-			continue
-		}
-		b.Run(fmt.Sprintf("scale=%s/path=materialized", scale.name), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := &roundScanReader{tbl: tbl, snap: snap}
-				for j := 0; j < p; j++ {
-					gs, err := eq.GroundMaterialized(pending(j), r, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(gs) != matchingFlights {
-						b.Fatalf("groundings = %d, want %d", len(gs), matchingFlights)
-					}
-				}
-			}
 		})
 	}
 }
@@ -285,22 +266,6 @@ func (r *snapCursorReader) ScanCursor(string) (eq.RowCursor, error) {
 
 func (r *snapCursorReader) ProbeCursor(_ string, cols []int, vals []types.Value) (eq.RowCursor, error) {
 	return r.tbl.ProbeCursor(r.snap, cols, vals)
-}
-
-// roundScanReader is the pre-streaming round scan cache: the first grounding
-// read of a table materializes a cloned snapshot, which the round's
-// remaining queries share.
-type roundScanReader struct {
-	tbl  *storage.Table
-	snap storage.Snapshot
-	rows []types.Tuple
-}
-
-func (r *roundScanReader) Scan(string) ([]types.Tuple, error) {
-	if r.rows == nil {
-		r.rows = r.tbl.AllAsOf(r.snap)
-	}
-	return r.rows, nil
 }
 
 // --- ablations ----------------------------------------------------------
@@ -1003,11 +968,11 @@ func measureOverload(maxInFlight int) (p50, p90, shedFrac float64, err error) {
 
 // BenchmarkShardedThroughput is the PR 10 scaling row: the same disjoint
 // pair workload on one shard server vs two, each engine grounding
-// serially (GroundWorkers 1) against a simulated 1ms storage round trip —
-// the paper's middle-tier bottleneck. Pairs are co-located on their home
-// shard, so two shards split the grounding work with no cross-shard
-// coordination; the acceptance claim is scaling-x >= 1.6 at 2 shards
-// (recorded in BENCH_pr10.json).
+// serially (GroundWorkers 1) against a 1ms storage round trip armed on each
+// shard's eq.ground point — the paper's middle-tier bottleneck. Pairs are
+// co-located on their home shard, so two shards split the grounding work
+// with no cross-shard coordination; the acceptance claim is scaling-x >=
+// 1.6 at 2 shards (recorded in BENCH_pr10.json).
 func BenchmarkShardedThroughput(b *testing.B) {
 	var base float64 // best pairs/sec of the 1-shard row
 	for _, shards := range []int{1, 2} {
@@ -1064,10 +1029,12 @@ func measureShardedThroughput(shards int) (float64, int, error) {
 	}
 	m := shard.New(addrs)
 	for i := range lns {
+		faults := fault.NewRegistry(int64(i))
+		faults.Enable("eq.ground", fault.Trigger{}, fault.Action{Kind: fault.KindDelay, Delay: time.Millisecond})
 		db, err := entangle.Open(entangle.Options{
 			RunFrequency:  8,
 			GroundWorkers: 1,
-			GroundLatency: time.Millisecond,
+			Faults:        faults,
 		})
 		if err != nil {
 			return 0, 0, err

@@ -93,12 +93,6 @@ type Options struct {
 	// LockWaitTimeout bounds lock waits, like innodb_lock_wait_timeout
 	// (default 2s).
 	LockWaitTimeout time.Duration
-	// StmtLatency simulates the per-statement client-DBMS round trip.
-	StmtLatency time.Duration
-	// GroundLatency simulates the per-query grounding round trip during
-	// entangled-query evaluation (paid inside each grounding task, so it
-	// overlaps across GroundWorkers).
-	GroundLatency time.Duration
 	// GroundWorkers bounds the pool that grounds a run's pending queries
 	// concurrently. 1 forces the paper's serialized middle-tier evaluation;
 	// 0 picks the default (max(8, NumCPU)). Any value produces the same
@@ -137,8 +131,9 @@ type Options struct {
 	VacuumInterval time.Duration
 	// Trace receives schedule events (e.g. *isolation.Recorder).
 	Trace core.TraceSink
-	// Faults, when set, arms the WAL's failpoints from the given registry
-	// (see internal/fault). Nil — the default — is zero-overhead.
+	// Faults, when set, supplies the WAL's failpoints and the engine's
+	// "core.stmt" and "eq.ground" delay points (see internal/fault). Nil —
+	// the default — is zero-overhead.
 	Faults *fault.Registry
 	// Metrics, when set, is the observability registry all engine counters
 	// and latency histograms register into (see internal/obs). Nil opens a
@@ -205,14 +200,13 @@ func Open(opts Options) (*DB, error) {
 		Connections:    opts.Connections,
 		DefaultTimeout: opts.DefaultTimeout,
 		RetryInterval:  opts.RetryInterval,
-		StmtLatency:    opts.StmtLatency,
-		GroundLatency:  opts.GroundLatency,
 		GroundWorkers:  opts.GroundWorkers,
 		GroundCache:    opts.GroundCache,
 		GroundBatch:    opts.GroundBatch,
 		SolveBudget:    opts.SolveBudget,
 		VacuumInterval: opts.VacuumInterval,
 		Trace:          opts.Trace,
+		Faults:         opts.Faults,
 		Metrics:        opts.Metrics,
 		Tracer:         opts.Tracer,
 	})

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/eq"
+	"repro/internal/fault"
 	"repro/internal/lock"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -678,5 +679,39 @@ func TestQuasiReadLockBlocksWriter(t *testing.T) {
 	}
 	if o := <-wrote; o.Status != StatusCommitted {
 		t.Fatalf("Donald eventually = %+v", o)
+	}
+}
+
+// TestStmtPointDelaysEachOperation pins the per-statement round-trip
+// model: a delay armed on Options.Faults' "core.stmt" point is paid once
+// per Tx operation, and an engine without a registry pays nothing.
+func TestStmtPointDelaysEachOperation(t *testing.T) {
+	const k, d = 5, 20 * time.Millisecond
+	scans := Program{Body: func(tx *Tx) error {
+		for i := 0; i < k; i++ {
+			if _, err := tx.Scan("Flights"); err != nil {
+				return err
+			}
+		}
+		return nil
+	}}
+	timeRun := func(e *Engine) time.Duration {
+		start := time.Now()
+		if o := e.RunDirect(scans); o.Status != StatusCommitted {
+			t.Fatalf("outcome = %+v", o)
+		}
+		return time.Since(start)
+	}
+
+	faults := fault.NewRegistry(1)
+	faults.Enable("core.stmt", fault.Trigger{}, fault.Action{Kind: fault.KindDelay, Delay: d})
+	if got := timeRun(newTestEngine(t, Options{Faults: faults})); got < k*d {
+		t.Errorf("armed run took %v, want >= %v", got, k*d)
+	}
+	if n := faults.Fired(); n != k {
+		t.Errorf("core.stmt fired %d times, want %d", n, k)
+	}
+	if got := timeRun(newTestEngine(t, Options{})); got >= d {
+		t.Errorf("run without a registry took %v, want < %v", got, d)
 	}
 }

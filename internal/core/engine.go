@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/eq"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/txn"
 )
@@ -29,25 +30,12 @@ type Options struct {
 	// arrivals have accumulated, so pending transactions are retried and
 	// timeouts expire. Default 25ms.
 	RetryInterval time.Duration
-	// StmtLatency simulates the per-statement client-DBMS round trip of the
-	// paper's middle-tier-over-MySQL deployment. Zero for tests; the
-	// benchmark harness sets it so that throughput is connection-bound, as
-	// in Figure 6(a). Applied to every Tx operation.
-	StmtLatency time.Duration
-	// GroundLatency simulates the per-query grounding round trip to the
-	// DBMS during entangled-query evaluation (in the paper's prototype
-	// each grounding is a SQL query against MySQL, and evaluation is
-	// serialized in the middle tier — so per-run cost grows linearly with
-	// the number of pending queries, the effect Figure 6(b) measures).
-	// Zero disables the simulation. The latency is paid inside each
-	// grounding task, so it overlaps across GroundWorkers.
-	GroundLatency time.Duration
 	// GroundWorkers bounds the worker pool grounding a run's pending
 	// queries concurrently. Groundings are read-only against the run's
 	// snapshot and the coordinating-set search consumes them in submission
 	// order, so any worker count yields the serial path's choices. 1 forces
 	// the paper's serialized middle-tier behavior; 0 picks the default
-	// (max(8, NumCPU) — grounding is round-trip-bound, not CPU-bound).
+	// (max(8, NumCPU)).
 	GroundWorkers int
 	// MaxGroundings bounds grounding enumeration per query.
 	MaxGroundings int
@@ -81,6 +69,10 @@ type Options struct {
 	VacuumInterval time.Duration
 	// Trace receives schedule events (nil disables tracing).
 	Trace TraceSink
+	// Faults supplies the engine's delay points (see internal/fault):
+	// "core.stmt" before every Tx operation and "eq.ground" before every
+	// grounding that misses the cache. Nil leaves both inert.
+	Faults *fault.Registry
 	// Metrics is the observability registry the engine registers its
 	// counters and latency histograms in. Nil makes the engine create a
 	// private registry, so the legacy Stats snapshot always works; pass
@@ -112,9 +104,10 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// defaultGroundWorkers sizes the grounding pool. Grounding simulates DBMS
-// round trips (sleeps, not CPU), so the pool is sized for overlap even on
-// small machines.
+// defaultGroundWorkers sizes the grounding pool. Every run re-grounds each
+// pending query, CPU work the pool spreads over the cores: on 2 CPUs, one
+// worker raised the sysbench pool workload's pair p50 (100 pending
+// queries) by ~25% and cut its pair throughput by ~20%.
 func defaultGroundWorkers() int {
 	if n := runtime.NumCPU(); n > 8 {
 		return n
@@ -219,6 +212,11 @@ type Engine struct {
 	// rows/peak-batch accounting (bridged into the registry as gauges).
 	groundCache *groundCache
 	streamStats eq.StreamStats
+
+	// Options.Faults' "core.stmt" and "eq.ground" points, resolved once.
+	// They are delay points: callers ignore Fire's error, which only a
+	// non-delay action sets.
+	stmtPt, groundPt *fault.Point
 }
 
 // NewEngine builds an engine over a transaction manager.
@@ -235,6 +233,8 @@ func NewEngine(txm *txn.Manager, opts Options) *Engine {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		requeueq: make(chan *pending, 1024),
+		stmtPt:   o.Faults.Point("core.stmt"),
+		groundPt: o.Faults.Point("eq.ground"),
 	}
 	e.coord = &localCoordinator{e: e}
 	if o.GroundCache {

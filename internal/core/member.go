@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/eq"
 	"repro/internal/lock"
@@ -45,19 +44,6 @@ func (m *member) check(err error) error {
 	return err
 }
 
-// simulateLatency models the per-statement round trip (Options.StmtLatency)
-// with time.Sleep. The kernel rounds small sleeps up, but it does so
-// consistently across workloads and — unlike spin-waiting — sleeping does
-// not consume CPU, so the connection-scaling shape of Figure 6(a) is
-// preserved beyond the machine's core count.
-func (m *member) simulateLatency() {
-	d := m.run.e.opts.StmtLatency
-	if d <= 0 || m.entry.prog.NoLatency {
-		return
-	}
-	time.Sleep(d)
-}
-
 // autocommitTxn runs fn inside a fresh single-statement transaction.
 func (m *member) autocommitTxn(fn func(t *txn.Txn) error) error {
 	t, err := m.run.e.txm.Begin(txn.Serializable)
@@ -72,7 +58,7 @@ func (m *member) autocommitTxn(fn func(t *txn.Txn) error) error {
 }
 
 func (m *member) opScan(table string) ([]types.Tuple, error) {
-	m.simulateLatency()
+	m.run.e.stmtPt.Fire()
 	if m.entry.prog.Autocommit {
 		var rows []types.Tuple
 		err := m.autocommitTxn(func(t *txn.Txn) error {
@@ -87,7 +73,7 @@ func (m *member) opScan(table string) ([]types.Tuple, error) {
 }
 
 func (m *member) opScanIDs(table string) ([]storage.RowID, []types.Tuple, error) {
-	m.simulateLatency()
+	m.run.e.stmtPt.Fire()
 	if m.entry.prog.Autocommit {
 		var ids []storage.RowID
 		var rows []types.Tuple
@@ -108,7 +94,7 @@ func (m *member) opLookup(table string, columns []string, key types.Tuple) ([]ty
 }
 
 func (m *member) opLookupIDs(table string, columns []string, key types.Tuple) ([]storage.RowID, []types.Tuple, error) {
-	m.simulateLatency()
+	m.run.e.stmtPt.Fire()
 	if m.entry.prog.Autocommit {
 		var ids []storage.RowID
 		var rows []types.Tuple
@@ -124,7 +110,7 @@ func (m *member) opLookupIDs(table string, columns []string, key types.Tuple) ([
 }
 
 func (m *member) opInsert(table string, row types.Tuple) (storage.RowID, error) {
-	m.simulateLatency()
+	m.run.e.stmtPt.Fire()
 	if m.entry.prog.Autocommit {
 		var id storage.RowID
 		err := m.autocommitTxn(func(t *txn.Txn) error {
@@ -139,7 +125,7 @@ func (m *member) opInsert(table string, row types.Tuple) (storage.RowID, error) 
 }
 
 func (m *member) opUpdate(table string, id storage.RowID, row types.Tuple) error {
-	m.simulateLatency()
+	m.run.e.stmtPt.Fire()
 	if m.entry.prog.Autocommit {
 		return m.check(m.autocommitTxn(func(t *txn.Txn) error {
 			return t.Update(table, id, row)
@@ -149,7 +135,7 @@ func (m *member) opUpdate(table string, id storage.RowID, row types.Tuple) error
 }
 
 func (m *member) opDelete(table string, id storage.RowID) error {
-	m.simulateLatency()
+	m.run.e.stmtPt.Fire()
 	if m.entry.prog.Autocommit {
 		return m.check(m.autocommitTxn(func(t *txn.Txn) error {
 			return t.Delete(table, id)
@@ -163,7 +149,7 @@ func (m *member) opDelete(table string, id storage.RowID) error {
 // round; if the run ends first, the transaction aborts and is requeued —
 // the body unwinds and never observes the failed attempt.
 func (m *member) opEntangle(q *eq.Query) *eq.Answer {
-	m.simulateLatency()
+	m.run.e.stmtPt.Fire()
 	if err := q.Validate(); err != nil {
 		return &eq.Answer{Status: eq.Errored, Err: err}
 	}

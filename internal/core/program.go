@@ -97,9 +97,6 @@ type Program struct {
 	// evaluation. This is the paper's -Q workload mode ("the same code
 	// without enclosing it within a transaction block").
 	Autocommit bool
-	// NoLatency exempts this program from Options.StmtLatency simulation
-	// (bulk loading, administrative programs).
-	NoLatency bool
 	// Trace is the lifecycle trace id stamped on this program's spans
 	// (minted by the network client, or by the DB layer when embedded).
 	// Zero — the default — records nothing and costs nothing.

@@ -315,15 +315,14 @@ func (e *Engine) evaluateQueries(r *run, blocked []*member) int {
 		pendings[i] = p
 	}
 	// Grounding fans out across the bounded worker pool: every query reads
-	// the same immutable snapshot, so parallel grounding (with its simulated
-	// round trips overlapped) is safe. The coordinating-set search inside
+	// the same immutable snapshot, so parallel grounding is safe. The coordinating-set search inside
 	// Evaluate still consumes the groundings in submission order, so the
 	// chosen answers match the serialized path's exactly.
 	evalStart := time.Now()
 	res := eq.Evaluate(pendings, eq.EvalOptions{
 		MaxGroundings: e.opts.MaxGroundings,
 		GroundWorkers: e.opts.GroundWorkers,
-		GroundLatency: e.opts.GroundLatency,
+		GroundPoint:   e.groundPt,
 		SolveBudget:   e.opts.SolveBudget,
 		BatchRows:     e.opts.GroundBatch,
 		Stream:        &e.streamStats,

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/types"
 )
@@ -58,7 +59,7 @@ type Pending struct {
 	// Errored.
 	Reader Reader
 	// Cached supplies this query's groundings from a previous round when
-	// HasCached is set: grounding (and its simulated DBMS round trip) is
+	// HasCached is set: grounding (and its GroundPoint firing) is
 	// skipped and the Reader is not consulted. The caller is responsible
 	// for validating that the cached groundings are still current — the
 	// engine's cross-round grounding cache does so with a CSN fingerprint
@@ -124,11 +125,11 @@ type EvalOptions struct {
 	// the coordinating-set search always consumes them in submission order,
 	// keeping evaluation deterministic either way.
 	GroundWorkers int
-	// GroundLatency simulates the per-query grounding round trip to the
-	// DBMS, applied inside each grounding task (so a parallel pool overlaps
-	// the simulated round trips exactly as a real middle tier would overlap
-	// its SQL queries). Zero disables the simulation.
-	GroundLatency time.Duration
+	// GroundPoint is the "eq.ground" delay point (Fire's error is ignored),
+	// fired inside each grounding task that misses the cache, so a parallel
+	// pool overlaps its delays like a middle tier's SQL queries. Nil is
+	// inert.
+	GroundPoint *fault.Point
 	// SolveBudget bounds the exact coordinating-set search in nodes per
 	// round (0 = DefaultSolveBudget). Negative skips the exact search and
 	// runs the greedy closure alone — the pre-exact behavior, kept for
@@ -250,8 +251,8 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 // order or across a bounded worker pool (EvalOptions.GroundWorkers). The
 // returned slices are indexed by the pending set's positions; position i is
 // written only by the task grounding query i, so the parallel path needs no
-// locks and yields byte-identical output to the serial one. Each task also
-// pays EvalOptions.GroundLatency, the simulated DBMS round trip.
+// locks and yields byte-identical output to the serial one. Each task that
+// misses the cache also fires EvalOptions.GroundPoint.
 func GroundAll(pending []Pending, opts EvalOptions) ([][]*Grounding, []error) {
 	maxG := opts.MaxGroundings
 	if maxG == 0 {
@@ -263,13 +264,11 @@ func GroundAll(pending []Pending, opts EvalOptions) ([][]*Grounding, []error) {
 		p := pending[i]
 		if p.HasCached {
 			// A validated cached grounding replaces the re-grounding round
-			// trip entirely — no reader access, no simulated latency.
+			// trip entirely — no reader access, no failpoint.
 			groundings[i] = p.Cached
 			return
 		}
-		if opts.GroundLatency > 0 {
-			time.Sleep(opts.GroundLatency)
-		}
+		opts.GroundPoint.Fire()
 		if p.Reader == nil {
 			errs[i] = fmt.Errorf("eq: query %d has no reader", p.ID)
 			return

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/types"
 )
 
@@ -103,9 +104,9 @@ func TestGroundAllParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGroundAllLatencyOverlaps checks the round-trip simulation actually
-// overlaps in the pool: 8 queries at 10ms each must take ~80ms serially but
-// near 10ms with 8 workers.
+// TestGroundAllLatencyOverlaps checks that a delay armed on the eq.ground
+// point overlaps in the pool: 8 queries at 10ms each must take ~80ms
+// serially but near 10ms with 8 workers.
 func TestGroundAllLatencyOverlaps(t *testing.T) {
 	reader := MapReader{"Slots": {{types.Int(1)}}}
 	var pending []Pending
@@ -115,7 +116,9 @@ func TestGroundAllLatencyOverlaps(t *testing.T) {
 			Body: []Atom{NewAtom("Slots", V("v"))},
 		}, Reader: reader})
 	}
-	opts := EvalOptions{GroundLatency: 10 * time.Millisecond}
+	faults := fault.NewRegistry(1)
+	opts := EvalOptions{GroundPoint: faults.Enable("eq.ground", fault.Trigger{},
+		fault.Action{Kind: fault.KindDelay, Delay: 10 * time.Millisecond})}
 
 	start := time.Now()
 	opts.GroundWorkers = 1

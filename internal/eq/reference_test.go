@@ -2,7 +2,9 @@ package eq
 
 import (
 	"fmt"
+	"testing"
 
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -10,10 +12,10 @@ import (
 // differential-testing and benchmarking baseline: it consumes the same
 // joinPlan as the streaming pipeline but materializes every scan as a full
 // row slice and every probe as a per-valuation slice, exactly as Ground did
-// before the cursor rewrite. The engine never calls it; the streaming ≡
-// materialized property test asserts Ground enumerates byte-identical
-// groundings in identical order, and BenchmarkFigure6bScale measures the
-// memory the streaming path no longer pays.
+// before the cursor rewrite. The streaming ≡ materialized property test
+// asserts Ground enumerates byte-identical groundings in identical order,
+// and BenchmarkGroundMaterialized measures the memory the streaming path
+// no longer pays.
 func GroundMaterialized(q *Query, r Reader, maxGroundings int) ([]*Grounding, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -158,4 +160,73 @@ func GroundMaterialized(q *Query, r Reader, maxGroundings int) ([]*Grounding, er
 		return nil, err
 	}
 	return out, nil
+}
+
+// BenchmarkGroundMaterialized runs GroundMaterialized on the 10x shape of
+// the root package's BenchmarkFigure6bScale: p=8 pending flight queries
+// grounded in one round over a 20k-row Flights table with 8 dest='LA'
+// rows. Its B/op is the baseline for that benchmark's
+// scale=10x/path=streaming row. The reader is the pre-streaming round scan
+// cache: the round's first scan clones a snapshot that the remaining
+// queries share.
+func BenchmarkGroundMaterialized(b *testing.B) {
+	const p, rows, matching = 8, 20_000, 8
+	tbl := storage.NewTable("Flights", types.NewSchema(
+		types.Column{Name: "fno", Type: types.KindInt},
+		types.Column{Name: "fdate", Type: types.KindDate},
+		types.Column{Name: "dest", Type: types.KindString},
+		types.Column{Name: "carrier", Type: types.KindString},
+		types.Column{Name: "seats", Type: types.KindInt},
+	))
+	dates := []string{"2011-05-03", "2011-05-04", "2011-05-05", "2011-05-06"}
+	carriers := []string{"AA", "UA", "DL"}
+	for i := 0; i < rows; i++ {
+		dest := fmt.Sprintf("D%02d", i%50)
+		if i < matching {
+			dest = "LA"
+		}
+		if _, err := tbl.Insert(types.Tuple{
+			types.Int(int64(i)), types.MustDate(dates[i%len(dates)]), types.Str(dest),
+			types.Str(carriers[i%len(carriers)]), types.Int(int64(100 + i%200)),
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	query := func(j int) *Query {
+		return &Query{
+			Head:   []Atom{NewAtom("R", CStr(fmt.Sprintf("u%d", j)), V("f"))},
+			Body:   []Atom{NewAtom("Flights", V("f"), V("dt"), V("d"), V("c"), V("s"))},
+			Where:  []Constraint{{Left: V("d"), Op: OpEq, Right: CStr("LA")}},
+			Choose: 1,
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := &roundScanReader{tbl: tbl}
+		for j := 0; j < p; j++ {
+			gs, err := GroundMaterialized(query(j), r, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(gs) != matching {
+				b.Fatalf("groundings = %d, want %d", len(gs), matching)
+			}
+		}
+	}
+}
+
+// roundScanReader is the pre-streaming round scan cache: the first
+// grounding read of a table materializes a cloned snapshot, which the
+// round's remaining queries share.
+type roundScanReader struct {
+	tbl  *storage.Table
+	rows []types.Tuple
+}
+
+func (r *roundScanReader) Scan(string) ([]types.Tuple, error) {
+	if r.rows == nil {
+		r.rows = r.tbl.AllAsOf(storage.Snapshot{})
+	}
+	return r.rows, nil
 }

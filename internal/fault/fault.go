@@ -5,6 +5,11 @@
 // write). Everything is seeded, so a chaos run with a fixed seed replays the
 // same fault schedule.
 //
+// The engine's delay points, which the figure harness arms to model the
+// paper's DBMS round trips: core.stmt fires before every Tx operation and
+// eq.ground before every grounding that misses the cache. Other actions
+// on them are counted but change nothing.
+//
 // The substrate is build-tag-free and costs nearly nothing when idle: a nil
 // *Point is a valid, permanently-disabled point (Fire on a nil receiver
 // returns immediately), and a registered-but-disarmed point is a single

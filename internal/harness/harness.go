@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/entangle"
+	"repro/internal/fault"
 	"repro/internal/workload"
 )
 
@@ -76,7 +77,9 @@ type Series struct {
 	Points []Point
 }
 
-// newDB opens a fresh in-memory database with a seeded dataset.
+// newDB opens a fresh in-memory database with a seeded dataset, then arms
+// the engine's "core.stmt" point to delay each later statement by
+// cfg.StmtLatency; seeding pays no simulated round trips.
 func newDB(cfg Config, connections, runFreq int) (*entangle.DB, *workload.Dataset, error) {
 	d, err := workload.NewDataset(workload.Config{
 		Users: cfg.Users,
@@ -85,15 +88,16 @@ func newDB(cfg Config, connections, runFreq int) (*entangle.DB, *workload.Datase
 	if err != nil {
 		return nil, nil, err
 	}
+	faults := fault.NewRegistry(cfg.Seed)
 	db, err := entangle.Open(entangle.Options{
 		Connections:    connections,
 		RunFrequency:   runFreq,
-		StmtLatency:    cfg.StmtLatency,
 		GroundWorkers:  cfg.GroundWorkers,
 		GroundCache:    cfg.GroundCache,
 		SolveBudget:    cfg.SolveBudget,
 		DefaultTimeout: 5 * time.Minute,
 		RetryInterval:  10 * time.Millisecond,
+		Faults:         faults,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -102,6 +106,7 @@ func newDB(cfg Config, connections, runFreq int) (*entangle.DB, *workload.Datase
 		db.Close()
 		return nil, nil, err
 	}
+	faults.Enable("core.stmt", fault.Trigger{}, fault.Action{Kind: fault.KindDelay, Delay: cfg.StmtLatency})
 	return db, d, nil
 }
 
@@ -246,26 +251,29 @@ func MeasurePending(cfg Config, p, f int) (float64, error) {
 // coordination pair's second member is submitted p transactions after the
 // first, so a steady state of p partner-less transactions pends in the
 // dormant pool for the whole experiment and is re-executed (and
-// re-aborted) by every run. The per-run cost is dominated by the simulated
-// grounding round trips for the pending queries (GroundLatency). With
-// Config.GroundWorkers=1 that work is serialized as in the paper's middle
-// tier — total time scales with (runs executed) x p, and runs scale with
-// 1/f; with a parallel pool the round trips overlap and the per-run cost
-// flattens to roughly ceil(p/workers) x GroundLatency.
+// re-aborted) by every run. The per-run cost is dominated by the grounding
+// round trips for the pending queries, modelled by arming the engine's
+// "eq.ground" point with a 500µs delay. With Config.GroundWorkers=1 that
+// work is serialized as in the paper's middle tier — total time scales with
+// (runs executed) x p, and runs scale with 1/f; with a parallel pool the
+// delays overlap and the per-run cost flattens to roughly
+// ceil(p/workers) x 500µs.
 func MeasurePendingStats(cfg Config, p, f int) (float64, entangle.Stats, error) {
 	d, err := workload.NewDataset(workload.Config{Users: cfg.Users, Seed: cfg.Seed})
 	if err != nil {
 		return 0, entangle.Stats{}, err
 	}
+	faults := fault.NewRegistry(cfg.Seed)
+	faults.Enable("eq.ground", fault.Trigger{}, fault.Action{Kind: fault.KindDelay, Delay: 500 * time.Microsecond})
 	db, err := entangle.Open(entangle.Options{
 		Connections:    100 + p,
 		RunFrequency:   f,
-		GroundLatency:  500 * time.Microsecond,
 		GroundWorkers:  cfg.GroundWorkers,
 		GroundCache:    cfg.GroundCache,
 		SolveBudget:    cfg.SolveBudget,
 		DefaultTimeout: 10 * time.Minute,
 		RetryInterval:  500 * time.Millisecond,
+		Faults:         faults,
 	})
 	if err != nil {
 		return 0, entangle.Stats{}, err

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/entangle"
 )
 
 // Small configurations keep these integration tests quick while still
@@ -100,5 +102,41 @@ func TestConfigDefaults(t *testing.T) {
 	c := (&Config{}).withDefaults()
 	if c.N == 0 || c.Users == 0 || c.StmtLatency == 0 || c.Seed == 0 {
 		t.Errorf("defaults not applied: %+v", c)
+	}
+}
+
+// TestNewDBSeedsBeforeArmingLatency checks that loading the dataset pays
+// no simulated round trips: newDB arms "core.stmt" only after seeding, so
+// a large StmtLatency seeds about as fast as a tiny one, while statements
+// run afterwards do pay it.
+func TestNewDBSeedsBeforeArmingLatency(t *testing.T) {
+	const large = 10 * time.Millisecond
+	timeNewDB := func(latency time.Duration) (*entangle.DB, time.Duration) {
+		start := time.Now()
+		db, _, err := newDB(Config{Users: 400, StmtLatency: latency, Seed: 3}, 10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db, time.Since(start)
+	}
+	_, tiny := timeNewDB(time.Nanosecond)
+	db, slow := timeNewDB(large)
+	// Seeding 400 users runs well over 400 statements: paying the latency
+	// on each would add seconds.
+	if slow > tiny+50*large {
+		t.Errorf("seeding took %v with StmtLatency %v against %v with 1ns", slow, large, tiny)
+	}
+
+	start := time.Now()
+	o := db.RunDirect(entangle.Program{Body: func(tx *entangle.Tx) error {
+		_, err := tx.Scan("Flight")
+		return err
+	}})
+	if o.Status != entangle.StatusCommitted {
+		t.Fatalf("outcome = %+v", o)
+	}
+	if got := time.Since(start); got < large {
+		t.Errorf("statement after seeding took %v, want >= %v", got, large)
 	}
 }

@@ -127,8 +127,7 @@ func (d *Dataset) Setup(db *entangle.DB) error {
 		return err
 	}
 	o := db.RunDirect(entangle.Program{
-		Name:      "seed",
-		NoLatency: true,
+		Name: "seed",
 		Body: func(tx *entangle.Tx) error {
 			for u := 0; u < d.cfg.Users; u++ {
 				if _, err := tx.Insert("User", entangle.Values(
