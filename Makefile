@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticcheck examples serve-smoke obs-smoke shard-smoke sysbench-test chaos bench-smoke bench-json pprof pprof-ground ci
+.PHONY: all build test race vet staticcheck examples serve-smoke obs-smoke shard-smoke sysbench-test chaos bench-smoke bench-json fuzz-smoke pprof pprof-ground ci
 
 all: build
 
@@ -10,8 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The sysbench module is not part of `./...` at the root; its smoke tests
+# drive two real loopback shards, so they put the cross-shard path under
+# the race detector too.
 race:
 	$(GO) test -race ./...
+	$(GO) -C sysbench test -race ./...
 
 vet:
 	$(GO) vet ./...

@@ -88,7 +88,9 @@ type Options struct {
 	Connections int
 	// DefaultTimeout for programs without one (default 10s).
 	DefaultTimeout time.Duration
-	// RetryInterval for re-running pooled transactions (default 25ms).
+	// RetryInterval for re-running pooled transactions and expiring
+	// timeouts (default 25ms). A delivered cross-shard reservation does
+	// not wait for it: its member runs at once.
 	RetryInterval time.Duration
 	// LockWaitTimeout bounds lock waits, like innodb_lock_wait_timeout
 	// (default 2s).

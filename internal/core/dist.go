@@ -56,13 +56,15 @@ func (e *Engine) EnableDist(cfg DistConfig) {
 		cfg.StatusTick = 300 * time.Millisecond
 	}
 	d := &distRuntime{
-		e:        e,
-		cfg:      cfg,
-		offers:   make(map[uint64]*liveOffer),
-		prepares: make(map[uint64]*dist.Prepare),
-		parked:   make(map[uint64]*parkedGroup),
-		stop:     make(chan struct{}),
+		e:           e,
+		cfg:         cfg,
+		offers:      make(map[uint64]*liveOffer),
+		prepares:    make(map[uint64]*reservation),
+		parked:      make(map[uint64]*parkedGroup),
+		stop:        make(chan struct{}),
+		reserveWait: e.met.reg.Histogram("dist_reserve_wait"),
 	}
+	e.met.reg.Gauge("dist_parked", func() int64 { return int64(e.Parked()) })
 	e.dist = d
 	e.coord = &distCoordinator{e: e, d: d, local: &localCoordinator{e: e}}
 }
@@ -73,6 +75,17 @@ type liveOffer struct {
 	entry    *pending
 	queryStr string
 	tables   []string
+}
+
+// reservation is a delivered matchmaker prepare waiting for its member's
+// next run to take it.
+type reservation struct {
+	p  dist.Prepare
+	at time.Time // stored by DeliverPrepare: dist_reserve_wait anchor
+	// targeted is set once the reservation has triggered its own run, so a
+	// member that never reaches its entangled query is not rerun in a loop;
+	// a later full run can still deliver it.
+	targeted bool
 }
 
 // parkedGroup holds the local members of a prepared distributed group:
@@ -90,11 +103,13 @@ type distRuntime struct {
 	cfg DistConfig
 
 	mu       sync.Mutex
-	offers   map[uint64]*liveOffer     // offer id -> exported offer
-	prepares map[uint64]*dist.Prepare  // offer id -> undelivered reservation
-	parked   map[uint64]*parkedGroup   // group id -> prepared members
+	offers   map[uint64]*liveOffer   // offer id -> exported offer
+	prepares map[uint64]*reservation // offer id -> undelivered reservation
+	parked   map[uint64]*parkedGroup // group id -> prepared members
 	stop     chan struct{}
 	stopped  sync.Once
+
+	reserveWait *obs.Histogram // DeliverPrepare -> beforeRound takes it
 }
 
 // registerOffer records (or refreshes) the member's offer and returns the
@@ -132,12 +147,48 @@ func (d *distRuntime) takeReservation(m *member) (*liveOffer, *dist.Prepare) {
 	if oid == 0 {
 		return nil, nil
 	}
-	p := d.prepares[oid]
-	if p == nil {
+	res := d.prepares[oid]
+	if res == nil {
 		return nil, nil
 	}
 	delete(d.prepares, oid)
-	return d.offers[oid], p
+	d.reserveWait.Observe(time.Since(res.at))
+	return d.offers[oid], &res.p
+}
+
+// takeReserved removes from the pool the entries whose reservation has
+// not yet had a run of its own and returns them as one batch (scheduler
+// goroutine only). beforeRound hands each its reservation before any
+// grounding, so this run delivers it just as a full-pool run would,
+// without re-running the rest of the pool. A non-sharded engine pays
+// the nil check.
+func (e *Engine) takeReserved() []*pending {
+	// Pool first: EnableDist's write of e.dist is ordered before the first
+	// Submit only, and an empty pool may predate it (an idle tick).
+	if len(e.pool) == 0 {
+		return nil
+	}
+	d := e.dist
+	if d == nil {
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.prepares) == 0 {
+		return nil
+	}
+	var batch []*pending
+	kept := e.pool[:0]
+	for _, ent := range e.pool {
+		if res := d.prepares[ent.offerID]; res != nil && !res.targeted {
+			res.targeted = true
+			batch = append(batch, ent)
+		} else {
+			kept = append(kept, ent)
+		}
+	}
+	e.pool = kept
+	return batch
 }
 
 // forget withdraws a settled program's offer and any undelivered
@@ -248,7 +299,7 @@ func (d *distRuntime) shutdown() {
 	groups := d.parked
 	d.parked = make(map[uint64]*parkedGroup)
 	d.offers = make(map[uint64]*liveOffer)
-	d.prepares = make(map[uint64]*dist.Prepare)
+	d.prepares = make(map[uint64]*reservation)
 	d.mu.Unlock()
 	for _, pg := range groups {
 		for _, m := range pg.members {
@@ -259,9 +310,11 @@ func (d *distRuntime) shutdown() {
 }
 
 // DeliverPrepare hands a matchmaker prepare to the engine (any
-// goroutine). The reservation is consumed by the scheduler at the next
-// round's beforeRound; a prepare for an unknown or already-reserved offer
-// is refused with an immediate no vote.
+// goroutine). It stores the reservation and wakes the scheduler, which
+// runs the reserved member at once in a run of its own (takeReserved)
+// unless a run is already due; the run's beforeRound takes it. A prepare
+// for an unknown or already-reserved offer is refused with an immediate
+// no vote.
 func (e *Engine) DeliverPrepare(p dist.Prepare) {
 	d := e.dist
 	if d == nil {
@@ -271,8 +324,7 @@ func (e *Engine) DeliverPrepare(p dist.Prepare) {
 	_, known := d.offers[p.Offer]
 	_, reserved := d.prepares[p.Offer]
 	if known && !reserved {
-		cp := p
-		d.prepares[p.Offer] = &cp
+		d.prepares[p.Offer] = &reservation{p: p, at: time.Now()}
 		d.mu.Unlock()
 		select {
 		case e.wake <- struct{}{}:

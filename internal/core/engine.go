@@ -27,8 +27,10 @@ type Options struct {
 	// DefaultTimeout applies to programs that do not set one. Default 10s.
 	DefaultTimeout time.Duration
 	// RetryInterval triggers a run when transactions are pooled but too few
-	// arrivals have accumulated, so pending transactions are retried and
-	// timeouts expire. Default 25ms.
+	// arrivals have accumulated, so pending transactions are retried,
+	// timeouts expire, and a sharded engine re-offers unmatched queries.
+	// A delivered cross-shard reservation does not wait for it: its member
+	// runs at once. Default 25ms.
 	RetryInterval time.Duration
 	// GroundWorkers bounds the worker pool grounding a run's pending
 	// queries concurrently. Groundings are read-only against the run's
@@ -358,7 +360,8 @@ func (e *Engine) Close() {
 }
 
 // loop is the scheduler: it forms runs per the run-frequency policy,
-// retries pooled transactions on a timer, and expires timeouts.
+// retries pooled transactions on a timer, expires timeouts, and runs
+// members whose cross-shard reservation was delivered.
 func (e *Engine) loop() {
 	defer close(e.done)
 	ticker := time.NewTicker(e.opts.RetryInterval)
@@ -431,7 +434,9 @@ func (e *Engine) loop() {
 // transactions returned by earlier runs), per §4: "include in a run all
 // transactions present in the dormant pool". force (retry tick, Flush)
 // runs the pool even without enough arrivals, so pending transactions are
-// retried and timeouts expire.
+// retried and timeouts expire. When nothing triggers a full run, pooled
+// members holding a delivered cross-shard reservation run on their own
+// (takeReserved), so a prepare never waits for the tick.
 //
 // The pool is only touched from the scheduler goroutine.
 func (e *Engine) runIfDue(force bool) {
@@ -472,6 +477,13 @@ func (e *Engine) runIfDue(force bool) {
 		}
 		force = false
 		if !trigger || len(e.pool) == 0 {
+			// A cross-shard reservation is an event of its own: run exactly
+			// the reserved members now, leaving the rest of the pool (and
+			// the arrival count) for the policy above.
+			if batch := e.takeReserved(); len(batch) > 0 {
+				e.executeRun(batch)
+				continue
+			}
 			return
 		}
 		batch := e.pool

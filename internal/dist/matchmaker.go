@@ -102,6 +102,11 @@ func New(opts Options) *Matchmaker {
 		m.cGroups = reg.Counter("dist_groups")
 		m.cCommits = reg.Counter("dist_group_commits")
 		m.cAborts = reg.Counter("dist_group_aborts")
+		reg.Gauge("dist_offers_pooled", func() int64 {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return int64(len(m.offers))
+		})
 	}
 	go m.janitor()
 	return m

@@ -94,7 +94,8 @@ type Registry struct {
 	seed  int64
 	mu    sync.Mutex
 	pts   map[string]*Point
-	ring  []Firing
+	ring  []Firing // circular, maxFirings long once the first fault fires
+	next  int      // firings recorded into ring; the newest is at (next-1) % maxFirings
 	fired atomic.Int64
 }
 
@@ -169,14 +170,16 @@ func (r *Registry) Fired() int64 {
 	return r.fired.Load()
 }
 
-// record appends one firing to the bounded ring.
+// record writes one firing into the bounded ring, overwriting the oldest
+// once it is full: O(1), and allocation-free after the first firing.
 func (r *Registry) record(point string, trace uint64) {
 	r.fired.Add(1)
 	r.mu.Lock()
-	r.ring = append(r.ring, Firing{Point: point, Trace: trace})
-	if over := len(r.ring) - maxFirings; over > 0 {
-		r.ring = append(r.ring[:0], r.ring[over:]...)
+	if r.ring == nil {
+		r.ring = make([]Firing, maxFirings)
 	}
+	r.ring[r.next%maxFirings] = Firing{Point: point, Trace: trace}
+	r.next++
 	r.mu.Unlock()
 }
 
@@ -188,7 +191,11 @@ func (r *Registry) Firings() []Firing {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Firing(nil), r.ring...)
+	if r.next <= maxFirings {
+		return append([]Firing(nil), r.ring[:r.next]...)
+	}
+	oldest := r.next % maxFirings
+	return append(append(make([]Firing, 0, maxFirings), r.ring[oldest:]...), r.ring[:oldest]...)
 }
 
 // Point is one named failpoint. The zero of usefulness is a nil *Point:

@@ -296,3 +296,37 @@ func TestFiringsTaggedAndBounded(t *testing.T) {
 		t.Fatal("nil registry returned firings")
 	}
 }
+
+// TestFiringsWrapAround: past several wraps the ring keeps exactly the
+// newest maxFirings firings, oldest first and consecutive.
+func TestFiringsWrapAround(t *testing.T) {
+	r := NewRegistry(3)
+	p := r.Enable("spam", Trigger{}, Action{Kind: KindError})
+	const total = 3*maxFirings + 7
+	for i := 1; i <= total; i++ {
+		_ = p.FireTagged(uint64(i))
+	}
+	ring := r.Firings()
+	if len(ring) != maxFirings {
+		t.Fatalf("ring length %d, want %d", len(ring), maxFirings)
+	}
+	for i, f := range ring {
+		if want := uint64(total - maxFirings + 1 + i); f.Trace != want || f.Point != "spam" {
+			t.Fatalf("firing %d = %+v, want trace %d", i, f, want)
+		}
+	}
+}
+
+// BenchmarkRecordFull is one firing into a full ring: constant time, no
+// allocation.
+func BenchmarkRecordFull(b *testing.B) {
+	r := NewRegistry(1)
+	for i := 0; i < maxFirings; i++ {
+		r.record("bench", uint64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.record("bench", uint64(i))
+	}
+}
