@@ -76,7 +76,6 @@ func main() {
 		conns       = flag.Int("connections", 0, "engine connection limit (0 = default 100)")
 		groundCache = flag.Bool("ground-cache", true, "enable the cross-round grounding cache")
 		drainWait   = flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
-		jsonOnly    = flag.Bool("json-only", false, "refuse binary codec negotiation; every connection stays on JSON frames (debuggable with netcat/tcpdump)")
 		maxInFlight = flag.Int("max-in-flight", 0, "admission control: max requests executing across all connections; excess is shed with a retryable error (0 = default 1024, negative = unbounded)")
 		perConnPend = flag.Int("per-conn-pending", 0, "max parked Wait/session requests per connection before shedding (0 = default 64)")
 		faultSeed   = flag.Int64("fault-seed", 1, "failpoint RNG seed (with -fault; fixed seed = reproducible chaos)")
@@ -144,7 +143,6 @@ func main() {
 		PerConnPending: *perConnPend,
 		Faults:         reg,
 	})
-	srv.JSONOnly = *jsonOnly
 
 	// Sharded deployment: join the placement map, host the coordinator on
 	// shard 0, and resolve any in-doubt groups recovery surfaced against
@@ -173,22 +171,15 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		// The debug /metrics document joins three layers under one fetch:
-		// the obs registry (counters + percentiles), the legacy stats
-		// snapshot with service counters folded in (same shape as the
-		// wire's stats frame), and the fault firing ring — firings carry
-		// trace ids, so a chaos artifact correlates against /traces/recent.
+		// The debug /metrics document joins two layers under one fetch:
+		// the obs registry (engine and service counters + percentiles, the
+		// same snapshot the wire's metrics frame carries) and the fault
+		// firing ring — firings carry trace ids, so a chaos artifact
+		// correlates against /traces/recent.
 		statsFn := func() any {
-			snap := db.StatsSnapshot()
-			svc := srv.ServiceStats()
-			snap.Sheds = svc.Sheds
-			snap.Retries = svc.Retries
-			snap.Reconnects = svc.Reconnects
-			snap.FaultsInjected = svc.FaultsInjected
 			return struct {
-				Engine  entangle.StatsSnapshot `json:"engine"`
-				Firings []fault.Firing         `json:"fault_firings,omitempty"`
-			}{Engine: snap, Firings: reg.Firings()}
+				Firings []fault.Firing `json:"fault_firings,omitempty"`
+			}{reg.Firings()}
 		}
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
@@ -196,7 +187,7 @@ func main() {
 			os.Exit(1)
 		}
 		go func() {
-			if err := http.Serve(dln, obs.DebugMux(metrics, tracer, statsFn)); err != nil {
+			if err := http.Serve(dln, obs.DebugMux(db.MetricsSnapshot, tracer, statsFn)); err != nil {
 				fmt.Fprintln(os.Stderr, "youtopia-serve: debug server:", err)
 			}
 		}()

@@ -12,8 +12,8 @@
 // Meta commands:
 //
 //	\tables          list tables
-//	\stats           engine counters (JSON snapshot)
-//	\metrics         observability registry (counters + latency percentiles)
+//	\stats           engine and service counters (the registry's counters)
+//	\metrics         the whole registry (counters + latency percentiles)
 //	\trace <id>      one traced query's span tree (ids print on submit)
 //	\checkpoint      snapshot + truncate the WAL (embedded -wal mode only)
 //	\async           submit the next BEGIN...COMMIT block without waiting
@@ -66,8 +66,7 @@ type backend interface {
 	// Submit routes a whole script through the run scheduler.
 	Submit(script string) (waiter, error)
 	Tables() ([]wire.TableInfo, error)
-	Stats() (entangle.StatsSnapshot, error)
-	// Metrics is the observability registry snapshot (\metrics).
+	// Metrics is the observability registry snapshot (\stats, \metrics).
 	Metrics() (obs.Snapshot, error)
 	// Trace fetches one traced query's span tree by id (\trace <id>).
 	Trace(id uint64) (obs.Trace, error)
@@ -97,9 +96,7 @@ func (l *localBackend) Tables() ([]wire.TableInfo, error) {
 	return wire.TableInfos(l.db.Catalog()), nil
 }
 
-func (l *localBackend) Stats() (entangle.StatsSnapshot, error) { return l.db.StatsSnapshot(), nil }
-
-func (l *localBackend) Metrics() (obs.Snapshot, error) { return l.db.Metrics().Snapshot(), nil }
+func (l *localBackend) Metrics() (obs.Snapshot, error) { return l.db.MetricsSnapshot(), nil }
 
 func (l *localBackend) Trace(id uint64) (obs.Trace, error) {
 	tr, ok := l.db.Tracer().Get(id)
@@ -153,8 +150,6 @@ func (r *remoteBackend) sessionLost(err error) bool {
 func (r *remoteBackend) Submit(script string) (waiter, error) { return r.c.SubmitScript(script) }
 
 func (r *remoteBackend) Tables() ([]wire.TableInfo, error) { return r.c.Tables() }
-
-func (r *remoteBackend) Stats() (entangle.StatsSnapshot, error) { return r.c.Stats() }
 
 func (r *remoteBackend) Metrics() (obs.Snapshot, error) { return r.c.Metrics() }
 
@@ -236,7 +231,7 @@ func main() {
 			prompt()
 			continue
 		case strings.HasPrefix(line, "\\"):
-			switch strings.Fields(line)[0] {
+			switch cmd := strings.Fields(line)[0]; cmd {
 			case "\\quit", "\\q":
 				return
 			case "\\tables":
@@ -248,21 +243,17 @@ func main() {
 				for _, tbl := range tables {
 					fmt.Printf("  %s %s (%d rows)\n", tbl.Name, tbl.Schema, tbl.Rows)
 				}
-			case "\\stats":
-				snap, err := be.Stats()
-				if err != nil {
-					fmt.Println("  error:", err)
-					break
-				}
-				data, _ := json.MarshalIndent(snap, "  ", "  ")
-				fmt.Println("  " + string(data))
-			case "\\metrics":
+			case "\\stats", "\\metrics":
 				snap, err := be.Metrics()
 				if err != nil {
 					fmt.Println("  error:", err)
 					break
 				}
-				data, _ := json.MarshalIndent(snap, "  ", "  ")
+				var doc any = snap
+				if cmd == "\\stats" {
+					doc = snap.Counters
+				}
+				data, _ := json.MarshalIndent(doc, "  ", "  ")
 				fmt.Println("  " + string(data))
 			case "\\trace":
 				fields := strings.Fields(line)

@@ -89,10 +89,8 @@ type Options struct {
 	DialTimeout time.Duration
 
 	// Codec selects the wire codec: wire.CodecBinary (the default, "")
-	// negotiates the binary fast path and falls back to JSON against a
-	// server that does not offer it; wire.CodecJSON pins JSON — every
-	// frame stays readable with netcat, and the connection works against
-	// any protocol-v1 server.
+	// negotiates the binary fast path; wire.CodecJSON pins JSON, so every
+	// frame stays readable with netcat.
 	Codec string
 
 	// WriteTimeout bounds one batched request write so a dead peer cannot
@@ -164,7 +162,6 @@ type Client struct {
 	closed    bool
 	nextID    uint64 // request IDs, client-wide so retries never collide
 	nextIdem  uint64 // idempotency ids
-	noDedup   bool   // legacy server: no hello, no idempotency, no retry of mutations
 	codecName string
 
 	reconnects atomic.Int64
@@ -200,8 +197,7 @@ type conn struct {
 }
 
 // Dial connects to a youtopia-serve address ("host:port"), verifies
-// protocol compatibility, and negotiates the binary codec when the server
-// offers it.
+// protocol compatibility, and negotiates the binary codec.
 func Dial(addr string) (*Client, error) { return DialOptions(addr, Options{}) }
 
 // DialOptions is Dial with explicit options. The initial dial is a single
@@ -217,21 +213,21 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 		return nil, fmt.Errorf("client: identity: %w", err)
 	}
 	c := &Client{addr: addr, opts: opts, id: hex.EncodeToString(idb[:])}
-	cc, name, noDedup, err := c.dialConn()
+	cc, name, err := c.dialConn()
 	if err != nil {
 		return nil, err
 	}
-	c.cc, c.codecName, c.noDedup = cc, name, noDedup
+	c.cc, c.codecName = cc, name
 	return c, nil
 }
 
 // dialConn makes one connection attempt: TCP connect, handshake (identity
 // bind + codec negotiation) under a deadline, then the reader and flusher
 // start.
-func (c *Client) dialConn() (*conn, string, bool, error) {
+func (c *Client) dialConn() (*conn, string, error) {
 	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
 	if err != nil {
-		return nil, "", false, fmt.Errorf("client: dial %s: %w", c.addr, err)
+		return nil, "", fmt.Errorf("client: dial %s: %w", c.addr, err)
 	}
 	cc := &conn{
 		cl:          c,
@@ -247,15 +243,15 @@ func (c *Client) dialConn() (*conn, string, bool, error) {
 	// peer that accepts TCP but never speaks the protocol fails the
 	// handshake instead of hanging.
 	nc.SetDeadline(time.Now().Add(c.opts.DialTimeout))
-	name, noDedup, err := cc.handshake(c.opts.Codec, c.id)
+	name, err := cc.handshake(c.opts.Codec, c.id)
 	if err != nil {
 		nc.Close()
-		return nil, "", false, err
+		return nil, "", err
 	}
 	nc.SetDeadline(time.Time{})
 	go cc.readLoop()
 	go cc.flusher()
-	return cc, name, noDedup, nil
+	return cc, name, nil
 }
 
 // syncCall writes one request frame and reads one response frame on the
@@ -280,58 +276,31 @@ func (cc *conn) syncCall(codec wire.Codec, req wire.Request) (*wire.Response, er
 }
 
 // handshake binds the client identity and negotiates the codec. The hello
-// (like every pre-negotiation frame) travels as JSON, so it is safe
-// against any server version:
-//   - a binary-capable server answers with the codec both sides use next;
-//   - a JSON-only server (or a JSON-pinned hello) answers CodecJSON;
-//   - a protocol-v1 server answers "unknown op" — the client falls back
-//     to the v1 version-checking ping, stays on JSON, and disables the
-//     idempotency machinery (a v1 server has no dedup window).
-func (cc *conn) handshake(want, clientID string) (codecName string, noDedup bool, err error) {
+// (like every pre-negotiation frame) travels as JSON, and the server
+// answers with the codec the client asked for. A server that refuses the
+// hello (one predating it answers "unknown op") cannot dedup retries, so
+// the dial fails rather than run without exactly-once mutations.
+func (cc *conn) handshake(want, clientID string) (codecName string, err error) {
 	resp, err := cc.syncCall(wire.JSON, wire.Request{ID: 1, Op: wire.OpHello, Codec: want, Client: clientID})
 	if err != nil {
-		return "", false, fmt.Errorf("client: hello: %w", err)
+		return "", fmt.Errorf("client: hello: %w", err)
 	}
 	if !resp.OK {
-		// A v1 server rejects the unknown op; fall back to its own
-		// liveness/version check and keep speaking JSON.
-		if err := cc.checkVersion(); err != nil {
-			return "", false, err
-		}
-		return wire.CodecJSON, true, nil
+		return "", fmt.Errorf("client: server does not support hello: %s", resp.Error)
 	}
 	if resp.Version != wire.ProtocolVersion {
-		return "", false, fmt.Errorf("client: protocol version mismatch: server %d, client %d",
+		return "", fmt.Errorf("client: protocol version mismatch: server %d, client %d",
 			resp.Version, wire.ProtocolVersion)
 	}
 	switch resp.Codec {
 	case wire.CodecBinary:
 		cc.codec = wire.Binary
-		return wire.CodecBinary, false, nil
+		return wire.CodecBinary, nil
 	case wire.CodecJSON, "":
-		// Negotiation succeeded but the server keeps this connection on
-		// JSON (e.g. a JSON-only deployment).
-		return wire.CodecJSON, false, nil
+		return wire.CodecJSON, nil
 	default:
-		return "", false, fmt.Errorf("client: server chose unknown codec %q", resp.Codec)
+		return "", fmt.Errorf("client: server chose unknown codec %q", resp.Codec)
 	}
-}
-
-// checkVersion is the v1 handshake: a ping whose response carries the
-// protocol version.
-func (cc *conn) checkVersion() error {
-	resp, err := cc.syncCall(wire.JSON, wire.Request{ID: 2, Op: wire.OpPing})
-	if err != nil {
-		return fmt.Errorf("client: ping: %w", err)
-	}
-	if !resp.OK {
-		return fmt.Errorf("client: ping: %s", resp.Error)
-	}
-	if resp.Version != wire.ProtocolVersion {
-		return fmt.Errorf("client: protocol version mismatch: server %d, client %d",
-			resp.Version, wire.ProtocolVersion)
-	}
-	return nil
 }
 
 // Codec reports the negotiated codec name (wire.CodecBinary or
@@ -418,7 +387,6 @@ func (c *Client) reconnect() (*conn, error) {
 
 	var cc *conn
 	var name string
-	var noDedup bool
 	var err error
 	backoff := c.opts.ReconnectBackoff
 	for attempt := 0; attempt < c.opts.DialBudget; attempt++ {
@@ -432,7 +400,7 @@ func (c *Client) reconnect() (*conn, error) {
 			err = ErrClosed
 			break
 		}
-		cc, name, noDedup, err = c.dialConn()
+		cc, name, err = c.dialConn()
 		if err == nil {
 			break
 		}
@@ -449,7 +417,6 @@ func (c *Client) reconnect() (*conn, error) {
 		} else {
 			c.cc = cc
 			c.codecName = name
-			c.noDedup = noDedup
 			c.reconnects.Add(1)
 		}
 	}
@@ -540,10 +507,13 @@ func (cc *conn) fail(err error) {
 	cc.outMu.Unlock()
 	cc.nc.Close()
 
+	// Detach before waking the callers: a caller that retries must find
+	// the client's connection gone, not re-issue on this dead one and
+	// burn its retry budget until connDied catches up.
+	cc.cl.connDied(cc)
 	for _, ch := range pending {
 		close(ch)
 	}
-	cc.cl.connDied(cc)
 }
 
 // teardown is fail plus waiting out the flusher, for an orderly Close.
@@ -610,15 +580,15 @@ func idempotentOp(op string) bool {
 	return false
 }
 
-// naturallyRetryable reports ops safe to retry even without dedup:
-// read-only, or creating connection-scoped state that dies with the
-// failed connection anyway. The 2PC shard ops (offer/prepare/vote/decide)
+// naturallyRetryable reports ops safe to retry without dedup: read-only,
+// or creating connection-scoped state that dies with the failed
+// connection anyway. The 2PC shard ops (offer/prepare/vote/decide)
 // are deliberately absent: the protocol repairs its own lost messages
 // (see shard.go), so a transport retry could only resurrect stale ones.
 func naturallyRetryable(op string) bool {
 	switch op {
-	case wire.OpPing, wire.OpStats, wire.OpTables, wire.OpSessionOpen,
-		wire.OpPlacement, wire.OpShardStatus:
+	case wire.OpPing, wire.OpTables, wire.OpMetrics, wire.OpTrace,
+		wire.OpSessionOpen, wire.OpPlacement, wire.OpShardStatus:
 		return true
 	}
 	return false
@@ -654,7 +624,7 @@ func (c *Client) startCall(req wire.Request) *Call {
 	}
 	c.nextID++
 	req.ID = c.nextID
-	if !c.noDedup && idempotentOp(req.Op) {
+	if idempotentOp(req.Op) {
 		c.nextIdem++
 		req.Idem = c.nextIdem
 	}
@@ -845,19 +815,6 @@ func (c *Client) mintTrace() uint64 {
 	return obs.MintID()
 }
 
-// Stats fetches the engine counter snapshot.
-func (c *Client) Stats() (entangle.StatsSnapshot, error) {
-	var snap entangle.StatsSnapshot
-	resp, err := c.call(wire.Request{Op: wire.OpStats})
-	if err != nil {
-		return snap, err
-	}
-	if err := json.Unmarshal(resp.Stats, &snap); err != nil {
-		return snap, fmt.Errorf("client: decode stats: %w", err)
-	}
-	return snap, nil
-}
-
 // Tables lists the catalog.
 func (c *Client) Tables() ([]wire.TableInfo, error) {
 	resp, err := c.call(wire.Request{Op: wire.OpTables})
@@ -868,8 +825,9 @@ func (c *Client) Tables() ([]wire.TableInfo, error) {
 }
 
 // Metrics fetches the server's observability registry snapshot — the
-// counters and latency-histogram percentiles behind the \metrics shell
-// command and the /metrics debug endpoint.
+// engine and service counters and latency-histogram percentiles behind
+// the \stats and \metrics shell commands and the /metrics debug
+// endpoint.
 func (c *Client) Metrics() (obs.Snapshot, error) {
 	var snap obs.Snapshot
 	resp, err := c.call(wire.Request{Op: wire.OpMetrics})

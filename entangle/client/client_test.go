@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,6 +148,53 @@ func TestNonIdempotentOpsFailOverReconnect(t *testing.T) {
 	}
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+}
+
+// TestReadOnlyOpsRetried: metrics and trace are read-only, so a reset that
+// loses their response is healed like a ping's — reconnect and re-issue —
+// instead of surfacing as an error. The fake drops the connection on the
+// first request of each op and answers every later one.
+func TestReadOnlyOpsRetried(t *testing.T) {
+	var mu sync.Mutex
+	dropped := map[string]bool{}
+	addr := fakeServer(t, func(nc net.Conn) {
+		for {
+			payload, err := wire.ReadFrame(nc)
+			if err != nil {
+				return
+			}
+			var req wire.Request
+			if wire.JSON.DecodeRequest(payload, &req) != nil {
+				return
+			}
+			mu.Lock()
+			drop := !dropped[req.Op]
+			dropped[req.Op] = true
+			mu.Unlock()
+			if drop {
+				return // kill the connection, response lost
+			}
+			wire.WriteFrame(nc, wire.Response{ID: req.ID, OK: true, Stats: []byte(`{"counters":{"runs":3}}`)})
+		}
+	})
+	c, err := DialOptions(addr, tight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	snap, err := c.Metrics()
+	if err != nil {
+		t.Fatalf("metrics across a reset: %v", err)
+	}
+	if snap.Counters["runs"] != 3 {
+		t.Fatalf("metrics counters = %v, want runs=3", snap.Counters)
+	}
+	if _, err := c.Trace(1); err != nil {
+		t.Fatalf("trace across a reset: %v", err)
+	}
+	if c.Reconnects() < 2 {
+		t.Fatalf("reconnects = %d, want one per dropped op", c.Reconnects())
 	}
 }
 

@@ -139,7 +139,7 @@ type Options struct {
 	Faults *fault.Registry
 	// Metrics, when set, is the observability registry all engine counters
 	// and latency histograms register into (see internal/obs). Nil opens a
-	// private registry — Stats/StatsSnapshot always work — that simply is
+	// private registry — Stats/MetricsSnapshot always work — that simply is
 	// not shared with a debug endpoint.
 	Metrics *obs.Registry
 	// Tracer, when set, enables per-query lifecycle tracing: Exec and
@@ -390,6 +390,11 @@ func (db *DB) mintTrace() uint64 {
 // Metrics exposes the engine's observability registry (never nil — a
 // private registry backs it when Options.Metrics was unset).
 func (db *DB) Metrics() *obs.Registry { return db.engine.Metrics() }
+
+// MetricsSnapshot reads the whole registry consistently with Stats: it
+// never shows more settled programs than submitted ones. It is what the
+// wire, the shell and /metrics serve.
+func (db *DB) MetricsSnapshot() obs.Snapshot { return db.engine.MetricsSnapshot() }
 
 // Tracer exposes the lifecycle tracer (nil when tracing is disabled).
 func (db *DB) Tracer() *obs.Tracer { return db.engine.Tracer() }

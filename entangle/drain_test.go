@@ -2,7 +2,6 @@ package entangle
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -115,29 +114,5 @@ func TestHandlePoll(t *testing.T) {
 	}
 	if o := h.Wait(); o.Status != StatusCommitted {
 		t.Fatalf("wait after poll: %+v", o)
-	}
-}
-
-// The snapshot is plain data with JSON tags and tracks the engine counters.
-func TestStatsSnapshotSerializes(t *testing.T) {
-	db := openTest(t, Options{RunFrequency: 2})
-	h1, _ := db.SubmitScript(pairScript("Mickey", "Minnie"))
-	h2, _ := db.SubmitScript(pairScript("Minnie", "Mickey"))
-	h1.Wait()
-	h2.Wait()
-	snap := db.StatsSnapshot()
-	if snap.Commits != db.Stats().Commits || snap.Commits == 0 {
-		t.Fatalf("snapshot commits = %d, stats = %d", snap.Commits, db.Stats().Commits)
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back StatsSnapshot
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != snap {
-		t.Fatalf("round trip: %+v != %+v", back, snap)
 	}
 }

@@ -7,39 +7,62 @@ import (
 	"time"
 )
 
-// Snapshot consistency: every StatsSnapshot taken while submissions and
+// Snapshot consistency: every counter snapshot taken while submissions and
 // settlements race must be internally consistent — the settled counters
 // (commits + timeouts + rollbacks + failures) can never exceed submitted,
 // because both sides of that inequality move under the engine's stats
-// lock and the snapshot reads the whole registry under it too. Run with
-// -race; before the single-registry refactor each field was copied from
-// its own atomic in sequence and this invariant had a window.
+// lock and both snapshot paths read the whole registry under it too: the
+// typed Stats and the serialized MetricsSnapshot that the wire, the shell
+// and /metrics serve. Run with -race; before the single-registry refactor
+// each field was copied from its own atomic in sequence and this
+// invariant had a window.
 func TestStatsSnapshotConsistentUnderLoad(t *testing.T) {
 	db := openTest(t, Options{RunFrequency: 2, RetryInterval: 2 * time.Millisecond})
 	// The direct-exec seeding above commits without submitting, so the
 	// invariant is on deltas from this baseline: only Submit-path traffic
 	// runs from here on.
-	base := db.StatsSnapshot()
-	settledIn := func(s StatsSnapshot) int64 { return s.Commits + s.Timeouts + s.Rollbacks + s.Failures }
+	base := db.Stats()
+	settledIn := func(s Stats) int64 { return s.Commits + s.Timeouts + s.Rollbacks + s.Failures }
+	baseSnap := db.MetricsSnapshot().Counters
+	settledInSnap := func(c map[string]int64) int64 {
+		return c["commits"] + c["timeouts"] + c["rollbacks"] + c["failures"]
+	}
 
 	const pairs = 24
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
 
-	// Snapshot reader: hammer StatsSnapshot while pairs settle.
-	var bad []StatsSnapshot
+	// Typed reader: hammer Stats while pairs settle.
+	var bad []Stats
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s := db.StatsSnapshot()
+		for !stopped() {
+			s := db.Stats()
 			if settledIn(s)-settledIn(base) > s.Submitted-base.Submitted {
 				bad = append(bad, s)
+				return
+			}
+		}
+	}()
+
+	// Serialized reader: the same check on the registry snapshot path.
+	var badSnap []map[string]int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stopped() {
+			c := db.MetricsSnapshot().Counters
+			if settledInSnap(c)-settledInSnap(baseSnap) > c["submitted"]-baseSnap["submitted"] {
+				badSnap = append(badSnap, c)
 				return
 			}
 		}
@@ -71,14 +94,22 @@ func TestStatsSnapshotConsistentUnderLoad(t *testing.T) {
 
 	if len(bad) > 0 {
 		s := bad[0]
-		t.Fatalf("inconsistent snapshot: settled=%d > submitted=%d (%+v)",
+		t.Fatalf("inconsistent Stats: settled=%d > submitted=%d (%+v)",
 			settledIn(s)-settledIn(base), s.Submitted-base.Submitted, s)
 	}
-	final := db.StatsSnapshot()
+	if len(badSnap) > 0 {
+		c := badSnap[0]
+		t.Fatalf("inconsistent MetricsSnapshot: settled=%d > submitted=%d (%v)",
+			settledInSnap(c)-settledInSnap(baseSnap), c["submitted"]-baseSnap["submitted"], c)
+	}
+	final := db.Stats()
 	if got, want := settledIn(final)-settledIn(base), final.Submitted-base.Submitted; got != want {
 		t.Fatalf("final snapshot not settled: %d of %d", got, want)
 	}
 	if final.Commits-base.Commits != 2*pairs {
 		t.Fatalf("commits = %d, want %d", final.Commits-base.Commits, 2*pairs)
+	}
+	if c := db.MetricsSnapshot().Counters; c["commits"] != final.Commits || c["submitted"] != final.Submitted {
+		t.Fatalf("MetricsSnapshot disagrees with Stats: %v vs %+v", c, final)
 	}
 }

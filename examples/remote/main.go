@@ -109,10 +109,11 @@ func main() {
 	for _, row := range res.Rows {
 		fmt.Printf("  %s booked flight %s on %s\n", row[0], row[1], row[2])
 	}
-	snap, err := minnie.Stats()
+	snap, err := minnie.Metrics()
 	must(err)
+	c := snap.Counters
 	fmt.Printf("server: %d runs, %d entanglement ops, %d group commits\n",
-		snap.Runs, snap.EntangleOps, snap.GroupCommits)
+		c["runs"], c["entangle_ops"], c["group_commits"])
 }
 
 func must(err error) {

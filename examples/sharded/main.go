@@ -126,9 +126,9 @@ func main() {
 		}
 	}
 	for i := 0; i < place.Shards; i++ {
-		snap, err := pool.GetShard(i).Stats()
+		snap, err := pool.GetShard(i).Metrics()
 		must(err)
-		fmt.Printf("shard %d: %d runs, %d group commits\n", i, snap.Runs, snap.GroupCommits)
+		fmt.Printf("shard %d: %d runs, %d group commits\n", i, snap.Counters["runs"], snap.Counters["group_commits"])
 	}
 }
 

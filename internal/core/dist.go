@@ -64,6 +64,8 @@ func (e *Engine) EnableDist(cfg DistConfig) {
 		stop:        make(chan struct{}),
 		reserveWait: e.met.reg.Histogram("dist_reserve_wait"),
 	}
+	// Sampled under statsMu by MetricsSnapshot: d.mu is never held across
+	// a bump.
 	e.met.reg.Gauge("dist_parked", func() int64 { return int64(e.Parked()) })
 	e.dist = d
 	e.coord = &distCoordinator{e: e, d: d, local: &localCoordinator{e: e}}

@@ -77,7 +77,7 @@ type Options struct {
 	Faults *fault.Registry
 	// Metrics is the observability registry the engine registers its
 	// counters and latency histograms in. Nil makes the engine create a
-	// private registry, so the legacy Stats snapshot always works; pass
+	// private registry, so Stats and MetricsSnapshot always work; pass
 	// one to surface engine metrics on a shared /metrics endpoint.
 	Metrics *obs.Registry
 	// Tracer receives per-query lifecycle spans (submit → ground → solve
@@ -198,11 +198,12 @@ type Engine struct {
 	// scheduler (a distributed group decided abort; the members retry).
 	requeueq chan *pending
 
-	// statsMu orders program-lifecycle counter increments against Stats
+	// statsMu orders program-lifecycle counter increments against
 	// snapshots: every submitted/settled transition bumps its registry
-	// counter under this lock and Stats reads the whole registry under it,
-	// so a snapshot is internally consistent (settled ≤ submitted always
-	// holds). Hot-path counters are bumped lock-free outside it.
+	// counter under this lock and Stats and MetricsSnapshot read the whole
+	// registry under it, so a snapshot is internally consistent (settled ≤
+	// submitted always holds). Hot-path counters are bumped lock-free
+	// outside it.
 	statsMu sync.Mutex
 	met     *coreMetrics
 	tracer  *obs.Tracer
@@ -266,7 +267,20 @@ func (e *Engine) Txm() *txn.Manager { return e.txm }
 func (e *Engine) Stats() Stats {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
-	return e.met.legacy(&e.streamStats)
+	return e.met.stats(&e.streamStats)
+}
+
+// MetricsSnapshot is the serialized view of the same registry — the one
+// the wire's metrics frame, the shell and /metrics serve — read under
+// statsMu, so like Stats it never shows more settled programs than
+// submitted ones. Gauge callbacks run under statsMu here, so none may
+// take a lock that a bump caller holds: dist_parked takes the dist
+// runtime's mu and dist_offers_pooled the matchmaker's, and neither is
+// held across a bump.
+func (e *Engine) MetricsSnapshot() obs.Snapshot {
+	e.statsMu.Lock()
+	defer e.statsMu.Unlock()
+	return e.met.reg.Snapshot()
 }
 
 // Submit queues an entangled transaction for execution and returns a

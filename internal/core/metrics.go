@@ -11,8 +11,8 @@ import (
 // is a single registry read instead of a mixture of mutex-copied struct
 // fields and separately-loaded atomics.
 //
-// Counter names match the legacy StatsSnapshot JSON tags so /metrics and
-// \stats agree on vocabulary.
+// Counter names are the vocabulary every serialized view prints: the
+// wire's metrics frame, the shell's \stats and /metrics.
 type coreMetrics struct {
 	reg *obs.Registry
 
@@ -83,12 +83,12 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 	}
 }
 
-// legacy renders the registry-backed counters as the historical Stats
-// struct in one pass; stream supplies the streaming pipeline's gauges.
+// stats renders the registry-backed counters as the typed Stats struct in
+// one pass; stream supplies the streaming pipeline's gauges.
 // Callers hold e.statsMu so the lifecycle counters (which are incremented
 // under the same lock) form an internally consistent set — a snapshot can
 // never show more settled programs than submitted ones.
-func (m *coreMetrics) legacy(stream *eq.StreamStats) Stats {
+func (m *coreMetrics) stats(stream *eq.StreamStats) Stats {
 	return Stats{
 		Submitted:      m.submitted.Load(),
 		Runs:           m.runs.Load(),

@@ -102,6 +102,8 @@ func New(opts Options) *Matchmaker {
 		m.cGroups = reg.Counter("dist_groups")
 		m.cCommits = reg.Counter("dist_group_commits")
 		m.cAborts = reg.Counter("dist_group_aborts")
+		// Sampled under the engine's stats lock (core's MetricsSnapshot):
+		// m.mu is never held across an engine counter bump.
 		reg.Gauge("dist_offers_pooled", func() int64 {
 			m.mu.Lock()
 			defer m.mu.Unlock()

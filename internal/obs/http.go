@@ -10,23 +10,24 @@ import (
 
 // DebugMux builds the -debug-addr HTTP surface:
 //
-//	/metrics        registry snapshot (counters + histogram percentiles),
-//	                plus the legacy stats snapshot when statsFn is set
+//	/metrics        registry snapshot (counters + histogram percentiles)
+//	                from snapshot, plus statsFn's document when set
 //	/traces/recent  recently finished traces, newest first
 //	/traces/get?id= one trace (live or recent) by id, following merges
 //	/debug/pprof/*  net/http/pprof
 //	/debug/vars     expvar
 //
-// Any argument may be nil; the corresponding endpoint serves an empty
-// document rather than 404, so smoke tests can assert well-formed JSON
-// unconditionally.
-func DebugMux(reg *Registry, tr *Tracer, statsFn func() any) *http.ServeMux {
+// snapshot is the registry read to serve, e.g. a Registry's Snapshot or
+// an engine's consistent MetricsSnapshot. tr and statsFn may be nil; the
+// corresponding endpoint serves an empty document rather than 404, so
+// smoke tests can assert well-formed JSON unconditionally.
+func DebugMux(snapshot func() Snapshot, tr *Tracer, statsFn func() any) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		doc := struct {
 			Metrics Snapshot `json:"metrics"`
 			Stats   any      `json:"stats,omitempty"`
-		}{Metrics: reg.Snapshot()}
+		}{Metrics: snapshot()}
 		if statsFn != nil {
 			doc.Stats = statsFn()
 		}

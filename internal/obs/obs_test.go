@@ -271,7 +271,7 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	tr.Span(5, 5, "exec", base, time.Millisecond, "")
 	tr.Finish(5, base.Add(time.Millisecond))
 
-	mux := DebugMux(reg, tr, func() any { return map[string]int{"submitted": 1} })
+	mux := DebugMux(reg.Snapshot, tr, func() any { return map[string]int{"submitted": 1} })
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 

@@ -324,6 +324,13 @@ func TestChaosStaleSessionTypedError(t *testing.T) {
 
 	reg.Enable("server.conn.read", fault.Trigger{OneShot: true}, fault.Action{Kind: fault.KindReset})
 	c.Ping() // trigger the reset; the retryable ping rides the reconnect
+	// The server's read loop was already parked in a Read when the fault
+	// was armed, so that Read may deliver the ping and the reset land on
+	// the next one, just after the ping's answer. Wait for the reconnect,
+	// or the exec below races the reset on the old connection.
+	for deadline := time.Now().Add(5 * time.Second); c.Reconnects() < 1 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 
 	_, err = ses.Exec("SELECT fno FROM Flights")
 	if err == nil {
@@ -347,12 +354,17 @@ func TestChaosStaleSessionTypedError(t *testing.T) {
 // the contract: overload is retryable, so once load drains its call
 // succeeds transparently.
 func TestOverloadShedTypedError(t *testing.T) {
-	addr, _, srv := startFaultServer(t, entangle.Options{RunFrequency: 4}, Options{MaxInFlight: 1})
+	addr, db, srv := startFaultServer(t, entangle.Options{RunFrequency: 4}, Options{MaxInFlight: 1})
 	admin := dialTest(t, addr)
 	setupFlights(t, admin)
 
 	// Occupy the single in-flight slot with a parked Wait on a partnerless
-	// pair (2s script timeout bounds the test).
+	// pair (2s script timeout bounds the test). The server releases a slot
+	// just after enqueueing the response, so the admin's last answer can
+	// arrive before its slot is free: wait for the gate to drain first.
+	for deadline := time.Now().Add(5 * time.Second); srv.inflight.Load() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	occ, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -410,8 +422,9 @@ func TestOverloadShedTypedError(t *testing.T) {
 	if c.Retries() < 1 {
 		t.Fatal("overload never retried — the slot was free, test lost its teeth")
 	}
-	if s := srv.ServiceStats(); s.Sheds < 2 {
-		t.Fatalf("server sheds = %d, want >= 2", s.Sheds)
+	sheds := db.MetricsSnapshot().Counters["sheds"]
+	if s := srv.ServiceStats(); s.Sheds < 2 || s.Sheds != sheds {
+		t.Fatalf("server sheds = %d, registry sheds = %d, want equal and >= 2", s.Sheds, sheds)
 	}
 }
 

@@ -1,10 +1,9 @@
 package server
 
-// Mixed-version negotiation: the binary codec is opt-in per connection,
-// so every pairing of old and new peers must land on a working codec (or
-// a typed error) — never a hang. The fake legacy server below replays the
-// protocol-v1 behavior (hello is an unknown op) so the fallback path
-// stays tested even though the real v1 server is gone.
+// Codec negotiation: the binary codec is opt-in per connection, so every
+// pairing of client options and peers must land on a working codec or a
+// clear error — never a hang. The fake server below replays a server that
+// predates hello (hello is an unknown op), which the client refuses.
 
 import (
 	"encoding/binary"
@@ -19,26 +18,6 @@ import (
 	"repro/internal/wire"
 )
 
-func startServerJSONOnly(t *testing.T) string {
-	t.Helper()
-	db, err := entangle.Open(entangle.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(db)
-	srv.JSONOnly = true
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() {
-		srv.Shutdown(t.Context())
-		db.Close()
-	})
-	return ln.Addr().String()
-}
-
 // TestNegotiateDefault: default client against a default server lands on
 // binary, and the connection actually works afterwards.
 func TestNegotiateDefault(t *testing.T) {
@@ -46,21 +25,6 @@ func TestNegotiateDefault(t *testing.T) {
 	c := dialTest(t, addr)
 	if c.Codec() != wire.CodecBinary {
 		t.Fatalf("negotiated %q, want binary", c.Codec())
-	}
-	roundTrip(t, c)
-}
-
-// TestNegotiateJSONOnlyServer: a binary-wanting client against a server
-// deployed JSON-only falls back to JSON cleanly.
-func TestNegotiateJSONOnlyServer(t *testing.T) {
-	addr := startServerJSONOnly(t)
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Codec() != wire.CodecJSON {
-		t.Fatalf("negotiated %q, want json", c.Codec())
 	}
 	roundTrip(t, c)
 }
@@ -90,8 +54,9 @@ func TestNegotiateUnknownCodecOption(t *testing.T) {
 }
 
 // TestNegotiateLegacyServer: against a protocol-v1 server — hello is an
-// unknown op, ping answers version 1 — Dial falls back to the v1
-// handshake and stays on JSON.
+// unknown op, ping answers version 1 — Dial fails within DialTimeout with
+// an error naming the hello. It must not fall back (a v1 server cannot
+// dedup retries), hang, or panic.
 func TestNegotiateLegacyServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -131,16 +96,18 @@ func TestNegotiateLegacyServer(t *testing.T) {
 		}
 	}()
 
-	c, err := client.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatalf("dial against legacy server: %v", err)
+	const dialTimeout = 2 * time.Second
+	start := time.Now()
+	c, err := client.DialOptions(ln.Addr().String(), client.Options{DialTimeout: dialTimeout})
+	if err == nil {
+		c.Close()
+		t.Fatalf("dial against legacy server succeeded on %q, want a hello error", c.Codec())
 	}
-	defer c.Close()
-	if c.Codec() != wire.CodecJSON {
-		t.Fatalf("negotiated %q against legacy server, want json", c.Codec())
+	if !strings.Contains(err.Error(), "hello") {
+		t.Fatalf("dial error %q does not name the hello", err)
 	}
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping over fallback connection: %v", err)
+	if took := time.Since(start); took > dialTimeout {
+		t.Fatalf("dial took %v, want within DialTimeout %v", took, dialTimeout)
 	}
 }
 

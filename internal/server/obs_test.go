@@ -63,7 +63,7 @@ func TestTracedPairMergesIntoOneTrace(t *testing.T) {
 
 	// Assert through the debug HTTP surface, exactly as `youtopia-serve
 	// -debug-addr` exposes it.
-	hs := httptest.NewServer(obs.DebugMux(db.Metrics(), db.Tracer(), nil))
+	hs := httptest.NewServer(obs.DebugMux(db.MetricsSnapshot, db.Tracer(), nil))
 	defer hs.Close()
 	res, err := hs.Client().Get(hs.URL + "/traces/recent")
 	if err != nil {

@@ -29,12 +29,12 @@
 // requests with wire.ErrOverloaded (err_code "overloaded"), which clients
 // treat as retryable-with-backoff since a shed request was never dispatched.
 //
-// Every connection starts in the JSON codec (the v1 protocol); a client
-// may negotiate the binary codec with an OpHello first request. Response
-// frames are write-batched per connection: handlers enqueue encoded
-// frames into one output buffer and a single flusher goroutine writes
-// whatever has accumulated in one syscall, so a pipelining client costs
-// one write per batch instead of one per response.
+// Every connection starts in the JSON codec; a client may negotiate the
+// binary codec with an OpHello first request, and gets the codec it asked
+// for. Response frames are write-batched per connection: handlers enqueue
+// encoded frames into one output buffer and a single flusher goroutine
+// writes whatever has accumulated in one syscall, so a pipelining client
+// costs one write per batch instead of one per response.
 package server
 
 import (
@@ -50,6 +50,7 @@ import (
 
 	"repro/entangle"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -110,8 +111,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ServiceStats are the service-layer counters, reported alongside the
-// engine counters in the stats frame.
+// ServiceStats is a typed read of the service-layer counters. The server
+// registers them in the DB's obs registry (sheds, retries, reconnects,
+// faults_injected), so the metrics frame, \stats and /metrics report them
+// next to the engine counters.
 type ServiceStats struct {
 	Sheds          int64 // requests refused by admission control
 	Retries        int64 // idempotent retries answered from the dedup window
@@ -123,12 +126,6 @@ type ServiceStats struct {
 type Server struct {
 	db   *entangle.DB
 	opts Options
-
-	// JSONOnly disables binary-codec negotiation: hellos are answered
-	// with the JSON codec. Set before Serve; it exists for debugging
-	// (every frame stays netcat-readable) and for exercising the
-	// client's fallback path.
-	JSONOnly bool
 
 	// dist is non-nil once EnableSharding makes this server a member of a
 	// sharded deployment (see dist.go). Written before Serve, read-only
@@ -145,9 +142,9 @@ type Server struct {
 	reqWg  sync.WaitGroup // in-flight requests (drained by Shutdown)
 
 	inflight   atomic.Int64 // requests executing now (global admission gate)
-	sheds      atomic.Int64
-	retries    atomic.Int64
-	reconnects atomic.Int64
+	sheds      *obs.Counter
+	retries    *obs.Counter
+	reconnects *obs.Counter
 
 	// Failpoints (nil without Options.Faults; see internal/fault).
 	ptAccept   *fault.Point
@@ -170,6 +167,11 @@ func NewWithOptions(db *entangle.DB, opts Options) *Server {
 		conns:   make(map[*conn]struct{}),
 		clients: make(map[string]*clientState),
 	}
+	reg := db.Metrics()
+	s.sheds = reg.Counter("sheds")
+	s.retries = reg.Counter("retries")
+	s.reconnects = reg.Counter("reconnects")
+	reg.Gauge("faults_injected", s.opts.Faults.Fired)
 	if f := s.opts.Faults; f != nil {
 		s.ptAccept = f.Point("server.accept")
 		s.ptDispatch = f.Point("server.dispatch")
@@ -739,7 +741,7 @@ func (c *conn) hello(req wire.Request, first bool) {
 		c.srv.bindClient(c, req.Client)
 	}
 	name := wire.CodecJSON
-	if req.Codec == wire.CodecBinary && !c.srv.JSONOnly {
+	if req.Codec == wire.CodecBinary {
 		name = wire.CodecBinary
 	}
 	// The hello response travels in the connection's current (JSON) codec;
@@ -968,24 +970,11 @@ func (c *conn) handle(req wire.Request) wire.Response {
 		}
 		return wire.Response{ID: req.ID, OK: true}
 
-	case wire.OpStats:
-		snap := c.srv.db.StatsSnapshot()
-		svc := c.srv.ServiceStats()
-		snap.Sheds = svc.Sheds
-		snap.Retries = svc.Retries
-		snap.Reconnects = svc.Reconnects
-		snap.FaultsInjected = svc.FaultsInjected
-		raw, err := json.Marshal(snap)
-		if err != nil {
-			return fail(req.ID, err)
-		}
-		return wire.Response{ID: req.ID, OK: true, Stats: raw}
-
 	case wire.OpTables:
 		return wire.Response{ID: req.ID, OK: true, Tables: wire.TableInfos(c.srv.db.Catalog())}
 
 	case wire.OpMetrics:
-		raw, err := json.Marshal(c.srv.db.Metrics().Snapshot())
+		raw, err := json.Marshal(c.srv.db.MetricsSnapshot())
 		if err != nil {
 			return fail(req.ID, err)
 		}

@@ -122,12 +122,12 @@ func TestRemotePairCoordinatesAcrossConnections(t *testing.T) {
 
 	// The coordination shows up in the counters as one entanglement op and
 	// one group commit.
-	snap, err := minnie.Stats()
+	snap, err := minnie.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.GroupCommits < 1 || snap.EntangleOps < 1 {
-		t.Fatalf("stats: %+v", snap)
+	if c := snap.Counters; c["group_commits"] < 1 || c["entangle_ops"] < 1 {
+		t.Fatalf("counters: %v", c)
 	}
 }
 

@@ -161,11 +161,11 @@ func TestRemoteSoakCoordination(t *testing.T) {
 	}
 
 	// The engine agrees: one group commit per coordinated pair.
-	snap, err := admin.Stats()
+	snap, err := admin.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(pairs * rounds); snap.GroupCommits < want {
-		t.Errorf("group commits %d < %d", snap.GroupCommits, want)
+	if got, want := snap.Counters["group_commits"], int64(pairs*rounds); got < want {
+		t.Errorf("group commits %d < %d", got, want)
 	}
 }

@@ -66,7 +66,7 @@ const (
 	opcodeSessionOpen  = 7
 	opcodeSessionExec  = 8
 	opcodeSessionClose = 9
-	opcodeStats        = 10
+	// 10 was the retired stats frame; never reuse it.
 	opcodeTables       = 11
 	opcodeHello        = 12
 	opcodeMetrics      = 13
@@ -99,8 +99,6 @@ func opcodeOf(op string) (byte, bool) {
 		return opcodeSessionExec, true
 	case OpSessionClose:
 		return opcodeSessionClose, true
-	case OpStats:
-		return opcodeStats, true
 	case OpTables:
 		return opcodeTables, true
 	case OpHello:
@@ -145,8 +143,6 @@ func opOf(code byte) (string, bool) {
 		return OpSessionExec, true
 	case opcodeSessionClose:
 		return OpSessionClose, true
-	case opcodeStats:
-		return OpStats, true
 	case opcodeTables:
 		return OpTables, true
 	case opcodeHello:

@@ -29,9 +29,9 @@ type Codec interface {
 	DecodeResponse(payload []byte, resp *Response) error
 }
 
-// JSON is the debugging and fallback codec: framed JSON documents, the
-// protocol of PR 4. The shell keeps using it so sessions stay readable
-// with netcat.
+// JSON is the bootstrap and debugging codec: framed JSON documents. Every
+// connection starts in it (the hello travels as JSON), and the shell pins
+// it so sessions stay readable with netcat.
 var JSON Codec = jsonCodec{}
 
 // Binary is the negotiated fast-path codec: exact-size binary payloads

@@ -76,7 +76,7 @@ func genTuple(rng *rand.Rand) types.Tuple {
 
 var allOps = []string{
 	OpPing, OpExec, OpDDL, OpSubmit, OpWait, OpPoll,
-	OpSessionOpen, OpSessionExec, OpSessionClose, OpStats, OpTables, OpHello,
+	OpSessionOpen, OpSessionExec, OpSessionClose, OpTables, OpHello,
 	OpMetrics, OpTrace,
 }
 
@@ -156,6 +156,33 @@ func framePayload(t *testing.T, frame []byte) []byte {
 		t.Fatalf("re-read frame: %v", err)
 	}
 	return payload
+}
+
+// TestBinaryOpcodesStable pins every opcode's byte: a binary frame must
+// mean the same op to peers built before and after an op is added or
+// retired. Opcode 10 (the retired stats frame) must stay unassigned.
+func TestBinaryOpcodesStable(t *testing.T) {
+	want := map[string]byte{
+		OpPing: 1, OpExec: 2, OpDDL: 3, OpSubmit: 4, OpWait: 5, OpPoll: 6,
+		OpSessionOpen: 7, OpSessionExec: 8, OpSessionClose: 9,
+		OpTables: 11, OpHello: 12, OpMetrics: 13, OpTrace: 14,
+		OpPlacement: 15, OpShardOffer: 16, OpShardPrepare: 17,
+		OpShardVote: 18, OpShardDecide: 19, OpShardStatus: 20,
+	}
+	for op, code := range want {
+		if got, ok := opcodeOf(op); !ok || got != code {
+			t.Errorf("opcodeOf(%q) = %d, %v; want %d", op, got, ok, code)
+		}
+		if got, ok := opOf(code); !ok || got != op {
+			t.Errorf("opOf(%d) = %q, %v; want %q", code, got, ok, op)
+		}
+	}
+	if op, ok := opOf(10); ok {
+		t.Errorf("retired opcode 10 decodes as %q", op)
+	}
+	if _, ok := opcodeOf("stats"); ok {
+		t.Error(`retired op "stats" still has an opcode`)
+	}
 }
 
 func TestCodecCrossPropertyRequests(t *testing.T) {

@@ -7,17 +7,17 @@ import (
 	"repro/internal/types"
 )
 
-// ProtocolVersion is bumped on incompatible frame-shape changes; Ping
-// responses carry it so clients can detect mismatched servers. Version 1
-// is the JSON-framed protocol of PR 4; the binary codec is negotiated on
-// top of it (OpHello) without changing the version, so a v1 JSON peer
-// still interoperates.
+// ProtocolVersion is bumped on incompatible frame-shape changes; hello
+// and ping responses carry it so clients can detect mismatched servers.
+// The binary codec is negotiated on top of the JSON-framed protocol
+// (OpHello) without changing the version.
 const ProtocolVersion = 1
 
-// Codec names negotiated by OpHello. A connection always starts in JSON
-// (so a hello is readable by any server, and a server that never sees a
-// hello keeps speaking JSON to legacy clients); both directions switch to
-// the agreed codec immediately after the hello response.
+// Codec names negotiated by OpHello. A connection always starts in JSON,
+// the bootstrap codec: a hello is readable by any server, and a peer that
+// never sends one (netcat, a debugging script) keeps speaking JSON. Both
+// directions switch to the agreed codec immediately after the hello
+// response.
 const (
 	CodecJSON   = "json"
 	CodecBinary = "binary"
@@ -52,19 +52,17 @@ const (
 	// OpSessionClose: close an interactive session (open transaction rolls
 	// back).
 	OpSessionClose = "session_close"
-	// OpStats: engine counter snapshot (the \stats frame).
-	OpStats = "stats"
 	// OpTables: catalog listing.
 	OpTables = "tables"
-	// OpHello: codec negotiation. Must be the first request on a
-	// connection, always JSON-framed; the response names the codec both
-	// sides speak from then on. A PR 4 server answers it with
-	// "unknown op" and the client falls back to JSON.
+	// OpHello: codec negotiation and client identity. Must be the first
+	// request on a connection, always JSON-framed; the response names the
+	// codec the client asked for, which both sides speak from then on. A
+	// client refuses a server that does not answer it.
 	OpHello = "hello"
-	// OpMetrics: observability registry snapshot — counters plus latency
-	// histogram percentiles (obs.Registry.Snapshot), carried as raw JSON
-	// in Response.Stats. Distinct from OpStats, which renders the legacy
-	// entangle.StatsSnapshot counter set.
+	// OpMetrics: observability registry snapshot — engine and service
+	// counters plus latency histogram percentiles (obs.Snapshot), carried
+	// as raw JSON in Response.Stats. The shell's \stats prints its
+	// counters, \metrics all of it.
 	OpMetrics = "metrics"
 	// OpTrace: fetch one trace's span tree by id (Request.Handle carries
 	// the trace id — it is the same "server-side opaque u64" shape a

@@ -136,12 +136,9 @@ func TestObsSmoke(t *testing.T) {
 		return body
 	}
 
-	// /metrics: registry counters + percentiles + the engine stats block.
+	// /metrics: registry counters + percentiles.
 	var metrics struct {
 		Metrics obs.Snapshot `json:"metrics"`
-		Stats   struct {
-			Engine entangle.StatsSnapshot `json:"engine"`
-		} `json:"stats"`
 	}
 	if err := json.Unmarshal(get("/metrics"), &metrics); err != nil {
 		t.Fatalf("/metrics JSON: %v", err)
@@ -152,8 +149,11 @@ func TestObsSmoke(t *testing.T) {
 	if hs := metrics.Metrics.Histograms["answer_latency"]; hs.Count < 2 || hs.P50MS <= 0 {
 		t.Fatalf("answer_latency snapshot: %+v", hs)
 	}
-	if metrics.Stats.Engine.GroupCommits < 1 {
-		t.Fatalf("engine stats block missing: %+v", metrics.Stats.Engine)
+	// The server's own counters live in the same registry.
+	for _, name := range []string{"sheds", "retries", "reconnects", "faults_injected"} {
+		if _, ok := metrics.Metrics.Counters[name]; !ok {
+			t.Fatalf("service counter %q missing from /metrics counters", name)
+		}
 	}
 
 	// /traces/recent: the merged coordination trace with both actors.
