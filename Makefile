@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticcheck examples serve-smoke obs-smoke shard-smoke sysbench-test chaos bench-smoke bench-json fuzz-smoke pprof pprof-ground ci
+.PHONY: all build test race vet staticcheck examples serve-smoke obs-smoke shard-smoke sysbench-test chaos bench-smoke bench-json fuzz-smoke pprof pprof-ground pprof-eval ci
 
 all: build
 
@@ -116,5 +116,14 @@ pprof:
 pprof-ground:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure6bScale/scale=10x' -benchtime 5x -cpuprofile ground-cpu.prof -memprofile ground-mem.prof .
 	@echo "inspect with: $(GO) tool pprof ground-cpu.prof   (or ground-mem.prof)"
+
+# CPU + heap profile of one evaluation round of the system benchmark's
+# dormant pool (BenchmarkEvaluateDormantPool: 102 queries grounded over 100
+# flights, then the coordinating-set search) — the per-run eq work the pool
+# workload repeats. Inspect with `go tool pprof eval-cpu.prof` /
+# `eval-mem.prof`.
+pprof-eval:
+	$(GO) test -run '^$$' -bench BenchmarkEvaluateDormantPool -benchtime 3s -cpuprofile eval-cpu.prof -memprofile eval-mem.prof ./internal/eq
+	@echo "inspect with: $(GO) tool pprof eval-cpu.prof   (or eval-mem.prof)"
 
 ci: build vet staticcheck test sysbench-test race

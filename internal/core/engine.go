@@ -174,18 +174,21 @@ type Engine struct {
 	closed   bool
 	draining bool
 
-	// arrivalq carries submitted programs to the scheduler, which ingests
-	// them one at a time between runs — every RunFrequency-th ingested
-	// arrival triggers a run synchronously, so runs cannot coalesce and the
-	// §5.2.2 run-frequency knob behaves as in the paper.
-	arrivalq chan *pending
+	// arrivalq carries submitted programs to the scheduler (guarded by mu,
+	// at most maxArrivals long). Submit appends and wakes the scheduler,
+	// which ingests them one at a time between runs — every
+	// RunFrequency-th ingested arrival triggers a run synchronously, so runs
+	// cannot coalesce and the §5.2.2 run-frequency knob behaves as in the
+	// paper. A slice holds memory only while programs queue; a channel
+	// with room for maxArrivals would hold 512 KB per engine.
+	arrivalq []*pending
 	// pool is the dormant transaction pool; scheduler-goroutine local.
 	pool     []*pending
 	arrivals int
 	// drainAborted (scheduler-goroutine local) is set once Drain has
 	// aborted the pool: any arrival that slipped past the Submit-side
-	// draining check (published to arrivalq after the final abort swept the
-	// queue) is failed at ingestion instead of pooled, so nothing can run —
+	// draining check (queued after the final abort swept the queue) is
+	// failed at ingestion instead of pooled, so nothing can run —
 	// let alone commit — after Drain returned.
 	drainAborted bool
 
@@ -229,7 +232,6 @@ func NewEngine(txm *txn.Manager, opts Options) *Engine {
 		txm:      txm,
 		opts:     o,
 		conns:    make(chan struct{}, o.Connections),
-		arrivalq: make(chan *pending, 1<<16),
 		wake:     make(chan struct{}, 1),
 		flush:    make(chan chan struct{}),
 		drainq:   make(chan drainMsg),
@@ -295,24 +297,23 @@ func (e *Engine) Submit(p Program) *Handle {
 	now := time.Now()
 	ent := &pending{prog: p, deadline: now.Add(timeout), handle: h, submitAt: now, enqueued: now}
 	// The enqueue happens under e.mu, the same lock Close and Drain take to
-	// flip their flags, so a program is either published before the flag
-	// (and swept by the scheduler's shutdown/drain pass) or refused — never
-	// stranded in arrivalq with a handle nobody will settle. The send is
-	// non-blocking: arrivalq holds 64k entries, and past that failing
-	// loudly beats blocking inside the lock.
+	// flip their flags, so a program is either queued before the flag (and
+	// swept by the scheduler's shutdown/drain pass) or refused — never
+	// stranded in arrivalq with a handle nobody will settle. arrivalq holds
+	// maxArrivals entries, and past that failing loudly beats growing
+	// without bound.
 	e.mu.Lock()
 	if e.closed || e.draining {
 		e.mu.Unlock()
 		h.done <- Outcome{Status: StatusFailed, Err: ErrEngineClosed}
 		return h
 	}
-	select {
-	case e.arrivalq <- ent:
-	default:
+	if len(e.arrivalq) >= maxArrivals {
 		e.mu.Unlock()
 		h.done <- Outcome{Status: StatusFailed, Err: ErrSubmitQueueFull}
 		return h
 	}
+	e.arrivalq = append(e.arrivalq, ent)
 	e.mu.Unlock()
 	e.bump(e.met.submitted)
 	if t := p.Trace; t != 0 {
@@ -323,6 +324,33 @@ func (e *Engine) Submit(p Program) *Handle {
 	default:
 	}
 	return h
+}
+
+// maxArrivals bounds arrivalq; Submit fails with ErrSubmitQueueFull past it.
+const maxArrivals = 1 << 16
+
+// nextArrival pops the oldest queued arrival, or returns nil when none is
+// queued or the engine is closed: a closing engine ingests nothing more,
+// and its shutdown sweep fails what is still queued.
+func (e *Engine) nextArrival() *pending {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.arrivalq) == 0 || e.closed {
+		return nil
+	}
+	ent := e.arrivalq[0]
+	e.arrivalq[0] = nil
+	e.arrivalq = e.arrivalq[1:]
+	return ent
+}
+
+// takeArrivals empties arrivalq, for the shutdown and drain sweeps.
+func (e *Engine) takeArrivals() []*pending {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	q := e.arrivalq
+	e.arrivalq = nil
+	return q
 }
 
 // settle delivers a program's final outcome: lifecycle counter, answer-
@@ -400,13 +428,10 @@ func (e *Engine) loop() {
 				// the coordinator's decision. The handles fail now.
 				e.dist.shutdown()
 			}
-			pool := e.pool
+			pool := append(e.pool, e.takeArrivals()...)
 			e.pool = nil
 			for {
 				select {
-				case ent := <-e.arrivalq:
-					pool = append(pool, ent)
-					continue
 				case ent := <-e.requeueq:
 					pool = append(pool, ent)
 					continue
@@ -429,7 +454,10 @@ func (e *Engine) loop() {
 			} else {
 				e.runIfDue(true)
 			}
-			msg.reply <- len(e.pool) + len(e.arrivalq)
+			e.mu.Lock()
+			queued := len(e.arrivalq)
+			e.mu.Unlock()
+			msg.reply <- len(e.pool) + queued
 		case <-e.wake:
 			e.runIfDue(false)
 		case ent := <-e.requeueq:
@@ -458,20 +486,19 @@ func (e *Engine) runIfDue(force bool) {
 		trigger := false
 	ingest:
 		for !trigger {
-			select {
-			case ent := <-e.arrivalq:
-				if e.drainAborted {
-					e.settle(ent, e.met.timeouts, Outcome{Status: StatusTimedOut, Err: ErrDraining, Attempts: ent.attempts})
-					continue
-				}
-				e.pool = append(e.pool, ent)
-				e.arrivals++
-				if e.arrivals >= e.opts.RunFrequency {
-					e.arrivals -= e.opts.RunFrequency
-					trigger = true
-				}
-			default:
+			ent := e.nextArrival()
+			if ent == nil {
 				break ingest
+			}
+			if e.drainAborted {
+				e.settle(ent, e.met.timeouts, Outcome{Status: StatusTimedOut, Err: ErrDraining, Attempts: ent.attempts})
+				continue
+			}
+			e.pool = append(e.pool, ent)
+			e.arrivals++
+			if e.arrivals >= e.opts.RunFrequency {
+				e.arrivals -= e.opts.RunFrequency
+				trigger = true
 			}
 		}
 		// Expire timeouts — §3.1: a transaction whose entangled query
@@ -563,7 +590,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 		}
 		n := e.drainStep(false)
 		if n == 0 {
-			// Seal: a Submit racing the draining check may still publish to
+			// Seal: a Submit racing the draining check may still queue in
 			// arrivalq after this count; the abort step marks the scheduler
 			// so such stragglers are failed at ingestion, never run.
 			e.drainStep(true)
@@ -594,13 +621,10 @@ func (e *Engine) drainStep(abort bool) int {
 // only) and marks the engine so late-slipping arrivals fail at ingestion.
 func (e *Engine) abortPoolForDrain() {
 	e.drainAborted = true
-	pool := e.pool
+	pool := append(e.pool, e.takeArrivals()...)
 	e.pool = nil
 	for {
 		select {
-		case ent := <-e.arrivalq:
-			pool = append(pool, ent)
-			continue
 		case ent := <-e.requeueq:
 			pool = append(pool, ent)
 			continue

@@ -189,14 +189,17 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 
 	// Entanglement membership: queries whose chosen groundings exchange
 	// atoms. Build atom -> producer query and atom -> consumer queries maps
-	// over the chosen groundings only.
+	// over the chosen groundings only, from the atom keys the groundings
+	// carry.
 	producerOf := make(map[string][]int)
 	for i, gi := range chosen {
 		if gi < 0 {
 			continue
 		}
-		for _, h := range groundings[i][gi].Head {
-			producerOf[h.Key()] = append(producerOf[h.Key()], i)
+		g := groundings[i][gi]
+		keys := g.keys()
+		for _, k := range keys[:len(g.Head)] {
+			producerOf[k] = append(producerOf[k], i)
 		}
 	}
 	partnerSets := make([]map[int]bool, len(pending))
@@ -207,8 +210,10 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 		if gi < 0 {
 			continue
 		}
-		for _, p := range groundings[i][gi].Post {
-			for _, j := range producerOf[p.Key()] {
+		g := groundings[i][gi]
+		keys := g.keys()
+		for _, k := range keys[len(g.Head):] {
+			for _, j := range producerOf[k] {
 				if j != i {
 					partnerSets[i][j] = true
 					partnerSets[j][i] = true

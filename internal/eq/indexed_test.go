@@ -74,10 +74,17 @@ func (r *probeReader) Probe(table string, cols []int, vals []types.Value) ([]typ
 	return out, nil
 }
 
+// identOf is a grounding's deduplication identity, computed from its
+// atoms.
+func identOf(g *Grounding) string {
+	ident, _ := appendIdent(nil, g.Head, g.Post, nil)
+	return string(ident)
+}
+
 func groundingKeys(gs []*Grounding) []string {
 	out := make([]string, len(gs))
 	for i, g := range gs {
-		out[i] = g.key()
+		out[i] = identOf(g)
 	}
 	return out
 }

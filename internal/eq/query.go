@@ -1,8 +1,11 @@
 package eq
 
 import (
-	"fmt"
+	"errors"
+	"strconv"
 	"strings"
+
+	"repro/internal/types"
 )
 
 // Query is an entangled query in the intermediate representation {C} H ⇐ B.
@@ -42,13 +45,13 @@ type Query struct {
 // the Body), and positive Choose.
 func (q *Query) Validate() error {
 	if len(q.Head) == 0 {
-		return fmt.Errorf("eq: query has no head atoms")
+		return errors.New("eq: query has no head atoms")
 	}
 	if len(q.Body) == 0 {
-		return fmt.Errorf("eq: query has no body atoms")
+		return errors.New("eq: query has no body atoms")
 	}
 	if q.Choose < 0 || q.Choose > 1 {
-		return fmt.Errorf("eq: CHOOSE %d unsupported (only CHOOSE 1)", q.Choose)
+		return errors.New("eq: CHOOSE " + strconv.Itoa(q.Choose) + " unsupported (only CHOOSE 1)")
 	}
 	bodyVars := make(map[string]bool)
 	for _, a := range q.Body {
@@ -57,7 +60,7 @@ func (q *Query) Validate() error {
 	check := func(where string, vars map[string]bool) error {
 		for v := range vars {
 			if !bodyVars[v] {
-				return fmt.Errorf("eq: range restriction violated: variable %s in %s does not appear in the body", v, where)
+				return errors.New("eq: range restriction violated: variable " + v + " in " + where + " does not appear in the body")
 			}
 		}
 		return nil
@@ -78,7 +81,7 @@ func (q *Query) Validate() error {
 	}
 	for _, b := range q.Bind {
 		if !bodyVars[b] {
-			return fmt.Errorf("eq: bind variable @%s does not appear in the body", b)
+			return errors.New("eq: bind variable @" + b + " does not appear in the body")
 		}
 	}
 	return nil
@@ -152,19 +155,72 @@ type Grounding struct {
 	Head []GroundAtom
 	Post []GroundAtom
 	Val  Valuation
+
+	// atomKeys are the head then post atom keys, substrings of the
+	// grounding's deduplication identity (see appendIdent). The grounding
+	// executor writes them once, when it builds the grounding; nothing
+	// writes them afterwards, so a grounding shared through the engine's
+	// grounding cache is safe to read from any run.
+	atomKeys []string
 }
 
-// key is a canonical identity for deduplication.
-func (g *Grounding) key() string {
-	var b strings.Builder
-	for _, a := range g.Head {
-		b.WriteString(a.Key())
-		b.WriteByte('#')
+// newGrounding copies the scratch atoms (heads first, nh of them) into a
+// grounding that owns them, keyed by ident, whose atom key spans appendIdent
+// recorded.
+func newGrounding(atoms []GroundAtom, nh int, val Valuation, ident string, spans []int) *Grounding {
+	n := 0
+	for _, a := range atoms {
+		n += len(a.Args)
 	}
-	b.WriteByte('|')
-	for _, a := range g.Post {
-		b.WriteString(a.Key())
-		b.WriteByte('#')
+	args := make(types.Tuple, n)
+	own := make([]GroundAtom, len(atoms))
+	for i, a := range atoms {
+		k := copy(args, a.Args)
+		own[i] = GroundAtom{Rel: a.Rel, Args: args[:k:k]}
+		args = args[k:]
 	}
-	return b.String()
+	g := &Grounding{Head: own[:nh:nh], Val: val, atomKeys: splitKeys(ident, spans)}
+	if nh < len(own) {
+		g.Post = own[nh:]
+	}
+	return g
+}
+
+// keys returns the grounding's head then post atom keys. A grounding the
+// executor built carries them; one decoded from a cross-shard offer does
+// not, and they are computed here without being stored, so a shared
+// grounding is never written.
+func (g *Grounding) keys() []string {
+	if g.atomKeys != nil {
+		return g.atomKeys
+	}
+	ident, spans := appendIdent(nil, g.Head, g.Post, nil)
+	return splitKeys(string(ident), spans)
+}
+
+// appendIdent appends a grounding's identity to dst: every head atom key
+// followed by '#', then '|', then every post atom key followed by '#'. It
+// appends each atom key's [start, end) offsets in dst to spans.
+func appendIdent(dst []byte, head, post []GroundAtom, spans []int) ([]byte, []int) {
+	for i, atoms := range [2][]GroundAtom{head, post} {
+		if i == 1 {
+			dst = append(dst, '|')
+		}
+		for _, a := range atoms {
+			start := len(dst)
+			dst = a.AppendKey(dst)
+			spans = append(spans, start, len(dst))
+			dst = append(dst, '#')
+		}
+	}
+	return dst, spans
+}
+
+// splitKeys slices the atom keys out of ident by their spans.
+func splitKeys(ident string, spans []int) []string {
+	keys := make([]string, len(spans)/2)
+	for i := range keys {
+		keys[i] = ident[spans[2*i]:spans[2*i+1]]
+	}
+	return keys
 }

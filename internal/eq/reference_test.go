@@ -77,7 +77,7 @@ func GroundMaterialized(q *Query, r Reader, maxGroundings int) ([]*Grounding, er
 				}
 				g.Post = append(g.Post, ga)
 			}
-			if k := g.key(); !seen[k] {
+			if k := identOf(g); !seen[k] {
 				seen[k] = true
 				out = append(out, g)
 			}
@@ -160,6 +160,61 @@ func GroundMaterialized(q *Query, r Reader, maxGroundings int) ([]*Grounding, er
 		return nil, err
 	}
 	return out, nil
+}
+
+// The reference executor's map valuation: every variable an atom binds is
+// a key, and a variable no atom binds is absent.
+
+// instantiate applies a valuation to the atom's arguments; every variable
+// must be bound.
+func (a Atom) instantiate(val Valuation) (GroundAtom, error) {
+	args := make(types.Tuple, len(a.Args))
+	for i, t := range a.Args {
+		if t.IsVar {
+			v, ok := val[t.Name]
+			if !ok {
+				return GroundAtom{}, fmt.Errorf("eq: unbound variable %s in %s", t.Name, a)
+			}
+			args[i] = v
+		} else {
+			args[i] = t.Value
+		}
+	}
+	return GroundAtom{Rel: a.Rel, Args: args}, nil
+}
+
+// eval evaluates the constraint under a valuation; both sides must be
+// bound.
+func (c Constraint) eval(val Valuation) (bool, error) {
+	l, err := resolve(c.Left, val)
+	if err != nil {
+		return false, err
+	}
+	r, err := resolve(c.Right, val)
+	if err != nil {
+		return false, err
+	}
+	return c.Op.holds(l, r)
+}
+
+func resolve(t Term, val Valuation) (types.Value, error) {
+	if !t.IsVar {
+		return t.Value, nil
+	}
+	v, ok := val[t.Name]
+	if !ok {
+		return types.Null(), fmt.Errorf("eq: unbound variable %s", t.Name)
+	}
+	return v, nil
+}
+
+// clone copies the valuation.
+func (v Valuation) clone() Valuation {
+	out := make(Valuation, len(v))
+	for k, val := range v {
+		out[k] = val
+	}
+	return out
 }
 
 // BenchmarkGroundMaterialized runs GroundMaterialized on the 10x shape of

@@ -1,9 +1,9 @@
 package eq
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Coordinating-set search: given the groundings of a set of pending
@@ -34,6 +34,10 @@ import (
 //     pruned.
 //   - Obligation states proven unsatisfiable are memoized (conflict
 //     learning), so structurally repeated dead ends are cut once.
+//
+// Atom keys are interned into dense ids once per Solve call (newProblem),
+// so the search and the greedy closure index slices by atom id instead of
+// hashing key strings; the memo's state keys are built from sorted ids.
 //
 // Every node of the search costs one step against a budget. A component
 // whose search exhausts the budget falls back to the original greedy
@@ -85,7 +89,15 @@ func SolveBudget(groundings [][]*Grounding, budget int) ([]int, SolveStats) {
 	for i := range chosen {
 		chosen[i] = -1
 	}
-	g := &greedySolver{p: p, chosen: chosen, chosenHead: make(map[string]int)}
+	// Both solvers are built on first use: most rounds never fall back.
+	var g *greedySolver
+	greedy := func(comp []int, steps *int) {
+		if g == nil {
+			g = &greedySolver{p: p, chosen: chosen, chosenHead: make([]int32, p.nkeys)}
+		}
+		g.solveComponent(comp, steps)
+	}
+	var ex *exactSolver
 
 	steps := 0
 	for _, comp := range comps {
@@ -93,11 +105,13 @@ func SolveBudget(groundings [][]*Grounding, budget int) ([]int, SolveStats) {
 			if budget >= 0 {
 				stats.Exhausted = true
 			}
-			g.solveComponent(comp, &steps)
+			greedy(comp, &steps)
 			continue
 		}
-		ex := newExactSolver(p, comp, &steps, budget)
-		if best, ok := ex.search(); ok {
+		if ex == nil {
+			ex = newExactSolver(p, &steps, budget)
+		}
+		if best, ok := ex.search(comp); ok {
 			for pi, qi := range comp {
 				chosen[qi] = best[pi]
 			}
@@ -105,7 +119,7 @@ func SolveBudget(groundings [][]*Grounding, budget int) ([]int, SolveStats) {
 			// Budget ran out mid-component: discard the partial search and
 			// answer this component greedily.
 			stats.Exhausted = true
-			g.solveComponent(comp, &steps)
+			greedy(comp, &steps)
 		}
 	}
 	stats.Steps = steps
@@ -117,13 +131,21 @@ func SolveBudget(groundings [][]*Grounding, budget int) ([]int, SolveStats) {
 	return chosen, stats
 }
 
-// problem is the shared indexed view of one Solve call's input.
+// problem is the shared indexed view of one Solve call's input, with every
+// ground atom key interned into a dense id in [0, nkeys).
 type problem struct {
 	groundings [][]*Grounding
-	producers  map[string][]producer // ground head atom key -> producers
-	headKeys   [][][]string          // [query][grounding] head atom keys
-	postKeys   [][][]string          // [query][grounding] post atom keys
-	prodKeys   [][]string            // [query] distinct keys any grounding produces
+	nkeys      int
+	ids        [][]groundingIDs // [query][grounding] head and post atom ids
+	prodIDs    [][]int32        // [query] distinct ids any grounding produces
+	// The producers of atom id k are prodList[prodStart[k]:prodStart[k+1]],
+	// in (query, grounding) order.
+	prodStart []int32
+	prodList  []producer
+}
+
+type groundingIDs struct {
+	head, post []int32
 }
 
 type producer struct {
@@ -133,35 +155,67 @@ type producer struct {
 func newProblem(groundings [][]*Grounding) *problem {
 	p := &problem{
 		groundings: groundings,
-		producers:  make(map[string][]producer),
-		headKeys:   make([][][]string, len(groundings)),
-		postKeys:   make([][][]string, len(groundings)),
-		prodKeys:   make([][]string, len(groundings)),
+		ids:        make([][]groundingIDs, len(groundings)),
+		prodIDs:    make([][]int32, len(groundings)),
 	}
+	total := 0
+	for _, gs := range groundings {
+		for _, g := range gs {
+			total += len(g.Head) + len(g.Post)
+		}
+	}
+	intern := make(map[string]int32, total)
+	arena := make([]int32, total)
+	var nprod []int32 // producer count per id
 	for qi, gs := range groundings {
-		p.headKeys[qi] = make([][]string, len(gs))
-		p.postKeys[qi] = make([][]string, len(gs))
-		seen := make(map[string]bool)
+		p.ids[qi] = make([]groundingIDs, len(gs))
 		for gi, g := range gs {
-			hk := make([]string, len(g.Head))
-			for i, h := range g.Head {
-				k := h.Key()
-				hk[i] = k
-				p.producers[k] = append(p.producers[k], producer{query: qi, grounding: gi})
-				if !seen[k] {
-					seen[k] = true
-					p.prodKeys[qi] = append(p.prodKeys[qi], k)
+			keys := g.keys()
+			own := arena[:len(keys):len(keys)]
+			arena = arena[len(keys):]
+			for i, k := range keys {
+				id, ok := intern[k]
+				if !ok {
+					id = int32(len(intern))
+					intern[k] = id
+					nprod = append(nprod, 0)
+				}
+				own[i] = id
+			}
+			nh := len(g.Head)
+			for _, id := range own[:nh] {
+				nprod[id]++
+			}
+			p.ids[qi][gi] = groundingIDs{head: own[:nh:nh], post: own[nh:]}
+		}
+	}
+	p.nkeys = len(intern)
+	p.prodStart = make([]int32, p.nkeys+1)
+	for k, n := range nprod {
+		p.prodStart[k+1] = p.prodStart[k] + n
+	}
+	p.prodList = make([]producer, p.prodStart[p.nkeys])
+	next := nprod // reused: the next free producer slot per id
+	copy(next, p.prodStart)
+	lastQuery := make([]int32, p.nkeys) // query+1 that last produced the id
+	for qi, gs := range p.ids {
+		for gi, g := range gs {
+			for _, k := range g.head {
+				p.prodList[next[k]] = producer{query: qi, grounding: gi}
+				next[k]++
+				if lastQuery[k] != int32(qi+1) {
+					lastQuery[k] = int32(qi + 1)
+					p.prodIDs[qi] = append(p.prodIDs[qi], k)
 				}
 			}
-			p.headKeys[qi][gi] = hk
-			pk := make([]string, len(g.Post))
-			for i, a := range g.Post {
-				pk[i] = a.Key()
-			}
-			p.postKeys[qi][gi] = pk
 		}
 	}
 	return p
+}
+
+// producers returns the (query, grounding) pairs whose head produces atom k.
+func (p *problem) producers(k int32) []producer {
+	return p.prodList[p.prodStart[k]:p.prodStart[k+1]]
 }
 
 // components partitions the queries into independent subproblems: query a
@@ -184,16 +238,16 @@ func (p *problem) components() [][]int {
 		return parent[x]
 	}
 	union := func(a, b int) { parent[find(b)] = find(a) }
-	for qi := range p.groundings {
-		for _, pk := range p.postKeys[qi] {
-			for _, k := range pk {
-				for _, pr := range p.producers[k] {
+	for qi, gs := range p.ids {
+		for _, g := range gs {
+			for _, k := range g.post {
+				for _, pr := range p.producers(k) {
 					union(qi, pr.query)
 				}
 			}
 		}
 	}
-	byRoot := make(map[int][]int)
+	byRoot := make([][]int, len(p.groundings))
 	var roots []int
 	for qi := range p.groundings {
 		r := find(qi)
@@ -210,7 +264,39 @@ func (p *problem) components() [][]int {
 	return out
 }
 
-// exactSolver runs the branch-and-bound search over one component.
+// idSet is a set of atom ids with constant-time add and remove, iterable
+// (in no particular order) through list.
+type idSet struct {
+	list []int32
+	pos  []int32 // pos[id] = index in list + 1; 0 = absent
+}
+
+func newIDSet(n int) idSet { return idSet{pos: make([]int32, n)} }
+
+func (s *idSet) add(id int32) {
+	if s.pos[id] == 0 {
+		s.list = append(s.list, id)
+		s.pos[id] = int32(len(s.list))
+	}
+}
+
+func (s *idSet) remove(id int32) {
+	i := s.pos[id]
+	if i == 0 {
+		return
+	}
+	last := s.list[len(s.list)-1]
+	s.list[i-1] = last
+	s.pos[last] = i
+	s.list = s.list[:len(s.list)-1]
+	s.pos[id] = 0
+}
+
+// exactSolver runs the branch-and-bound search over one component at a
+// time. Its per-atom state is allocated once per Solve call: every search
+// leaves have, need and the sets as it found them (apply and undo balance,
+// also when the budget aborts), and finish clears the component's
+// futureProd and postLastPos entries.
 type exactSolver struct {
 	p    *problem
 	comp []int // global query indices, ascending (submission order)
@@ -218,17 +304,18 @@ type exactSolver struct {
 	steps  *int
 	budget int
 
-	// Search state. Coverage is boolean per atom key: a post key is
-	// satisfied iff some chosen head produces it, however many posts need
-	// it or heads provide it — the counts only drive incremental updates.
-	cur       []int          // per component position: grounding or -1
-	have      map[string]int // chosen head key -> refcount
-	need      map[string]int // chosen post key -> refcount
-	uncovered map[string]bool
+	// Search state. Coverage is boolean per atom: a post atom is satisfied
+	// iff some chosen head produces it, however many posts need it or heads
+	// provide it — the counts only drive incremental updates.
+	cur       []int   // per component position: grounding or -1
+	have      []int32 // chosen head atom -> refcount
+	need      []int32 // chosen post atom -> refcount
+	uncovered idSet   // need > 0 and have == 0
+	provided  idSet   // have > 0
 	// futureProd[k] counts the undecided component queries that still have
-	// a grounding producing k; an uncovered key with no future producer is
+	// a grounding producing k; an uncovered atom with no future producer is
 	// a dead obligation.
-	futureProd map[string]int
+	futureProd []int32
 
 	best    int
 	bestSet []int
@@ -236,43 +323,66 @@ type exactSolver struct {
 	// suffixAnswerable[i] = number of component queries at positions >= i
 	// that have at least one grounding (the bound's optimistic remainder).
 	suffixAnswerable []int
-	// postLastPos[k] = last component position whose groundings post k;
-	// heads for keys past their last post position cannot matter anymore,
-	// which keeps memo states small and maximally shared.
-	postLastPos map[string]int
+	// postLastPos[k] = last component position whose groundings post k, or
+	// -1; heads for atoms past their last post position cannot matter
+	// anymore, which keeps memo states small and maximally shared.
+	postLastPos []int32
 
 	// failed memoizes obligation states proven unsatisfiable: from this
 	// position, with these uncovered obligations and these already-provided
 	// heads, no assignment of the remaining queries covers everything.
 	failed map[string]bool
 	memo   bool
+	// stateKey scratch.
+	stateIDs []int32
+	stateBuf []byte
 }
 
-func newExactSolver(p *problem, comp []int, steps *int, budget int) *exactSolver {
+func newExactSolver(p *problem, steps *int, budget int) *exactSolver {
 	ex := &exactSolver{
-		p:          p,
-		comp:       comp,
-		steps:      steps,
-		budget:     budget,
-		cur:        make([]int, len(comp)),
-		have:       make(map[string]int),
-		need:       make(map[string]int),
-		uncovered:  make(map[string]bool),
-		futureProd: make(map[string]int),
-		best:       -1,
-		bestSet:    make([]int, len(comp)),
-		memo:       len(comp) >= 3,
+		p:           p,
+		steps:       steps,
+		budget:      budget,
+		have:        make([]int32, p.nkeys),
+		need:        make([]int32, p.nkeys),
+		uncovered:   newIDSet(p.nkeys),
+		provided:    newIDSet(p.nkeys),
+		futureProd:  make([]int32, p.nkeys),
+		postLastPos: make([]int32, p.nkeys),
 	}
-	for i := range ex.cur {
-		ex.cur[i] = -1
-		ex.bestSet[i] = -1
+	for k := range ex.postLastPos {
+		ex.postLastPos[k] = -1
 	}
+	return ex
+}
+
+// search explores one component exhaustively. It returns the maximum
+// answered assignment (valid until the next search) and true, or nil and
+// false when the budget ran out before the search completed.
+func (ex *exactSolver) search(comp []int) ([]int, bool) {
+	ex.start(comp)
+	_, _, exhausted := ex.dfs(0, 0)
+	ex.finish()
+	if exhausted {
+		return nil, false
+	}
+	return ex.bestSet, true
+}
+
+// start sets up the search of comp.
+func (ex *exactSolver) start(comp []int) {
+	p := ex.p
+	ex.comp = comp
+	ex.cur = fillInts(ex.cur, len(comp), -1)
+	ex.bestSet = fillInts(ex.bestSet, len(comp), -1)
+	ex.best = -1
+	ex.memo = len(comp) >= 3
 	for _, qi := range comp {
-		for _, k := range p.prodKeys[qi] {
+		for _, k := range p.prodIDs[qi] {
 			ex.futureProd[k]++
 		}
 	}
-	ex.suffixAnswerable = make([]int, len(comp)+1)
+	ex.suffixAnswerable = fillInts(ex.suffixAnswerable, len(comp)+1, 0)
 	for i := len(comp) - 1; i >= 0; i-- {
 		n := 0
 		if len(p.groundings[comp[i]]) > 0 {
@@ -282,27 +392,40 @@ func newExactSolver(p *problem, comp []int, steps *int, budget int) *exactSolver
 	}
 	if ex.memo {
 		ex.failed = make(map[string]bool)
-		ex.postLastPos = make(map[string]int)
 		for i, qi := range comp {
-			for _, pks := range p.postKeys[qi] {
-				for _, k := range pks {
-					ex.postLastPos[k] = i
+			for _, g := range p.ids[qi] {
+				for _, k := range g.post {
+					ex.postLastPos[k] = int32(i)
 				}
 			}
 		}
 	}
-	return ex
 }
 
-// search explores the component exhaustively. It returns the maximum
-// answered assignment and true, or nil and false when the budget ran out
-// before the search completed.
-func (ex *exactSolver) search() ([]int, bool) {
-	_, _, exhausted := ex.dfs(0, 0)
-	if exhausted {
-		return nil, false
+// finish clears the state start set up for the component.
+func (ex *exactSolver) finish() {
+	for _, qi := range ex.comp {
+		for _, k := range ex.p.prodIDs[qi] {
+			ex.futureProd[k] = 0
+		}
+		if ex.memo {
+			for _, g := range ex.p.ids[qi] {
+				for _, k := range g.post {
+					ex.postLastPos[k] = -1
+				}
+			}
+		}
 	}
-	return ex.bestSet, true
+	ex.failed = nil
+}
+
+// fillInts returns s resized to n elements, all set to v.
+func fillInts(s []int, n, v int) []int {
+	s = slices.Grow(s[:0], n)[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // dfs decides the query at component position i. It reports whether any
@@ -317,7 +440,7 @@ func (ex *exactSolver) dfs(i, answered int) (feasible, bounded, exhausted bool) 
 	}
 	// Dead-obligation check: an uncovered post no remaining query can
 	// produce can never be satisfied.
-	for k := range ex.uncovered {
+	for _, k := range ex.uncovered.list {
 		if ex.futureProd[k] == 0 {
 			return false, false, false
 		}
@@ -334,12 +457,8 @@ func (ex *exactSolver) dfs(i, answered int) (feasible, bounded, exhausted bool) 
 	if answered+ex.suffixAnswerable[i] <= ex.best {
 		return false, true, false
 	}
-	var key string
-	if ex.memo {
-		key = ex.stateKey(i)
-		if ex.failed[key] {
-			return false, false, false
-		}
+	if ex.memo && ex.failed[string(ex.stateKey(i))] {
+		return false, false, false
 	}
 	qi := ex.comp[i]
 	for gi := range ex.p.groundings[qi] {
@@ -364,7 +483,9 @@ func (ex *exactSolver) dfs(i, answered int) (feasible, bounded, exhausted bool) 
 	if ex.memo && !feasible && !bounded {
 		// Every branch died on obligations (not on the count bound): this
 		// obligation state is unsatisfiable regardless of the running best.
-		ex.failed[key] = true
+		// The branches restored the state, so its key is the one looked up
+		// on entry.
+		ex.failed[string(ex.stateKey(i))] = true
 	}
 	return feasible, bounded, false
 }
@@ -373,17 +494,19 @@ func (ex *exactSolver) dfs(i, answered int) (feasible, bounded, exhausted bool) 
 func (ex *exactSolver) apply(i, gi int) {
 	qi := ex.comp[i]
 	ex.cur[i] = gi
-	for _, k := range ex.p.prodKeys[qi] {
+	for _, k := range ex.p.prodIDs[qi] {
 		ex.futureProd[k]--
 	}
-	for _, k := range ex.p.headKeys[qi][gi] {
+	g := ex.p.ids[qi][gi]
+	for _, k := range g.head {
 		if ex.have[k]++; ex.have[k] == 1 {
-			delete(ex.uncovered, k)
+			ex.uncovered.remove(k)
+			ex.provided.add(k)
 		}
 	}
-	for _, k := range ex.p.postKeys[qi][gi] {
+	for _, k := range g.post {
 		if ex.need[k]++; ex.need[k] == 1 && ex.have[k] == 0 {
-			ex.uncovered[k] = true
+			ex.uncovered.add(k)
 		}
 	}
 }
@@ -392,63 +515,62 @@ func (ex *exactSolver) apply(i, gi int) {
 func (ex *exactSolver) undo(i, gi int) {
 	qi := ex.comp[i]
 	ex.cur[i] = -1
-	for _, k := range ex.p.postKeys[qi][gi] {
+	g := ex.p.ids[qi][gi]
+	for _, k := range g.post {
 		if ex.need[k]--; ex.need[k] == 0 {
-			delete(ex.need, k)
-			delete(ex.uncovered, k)
+			ex.uncovered.remove(k)
 		}
 	}
-	for _, k := range ex.p.headKeys[qi][gi] {
+	for _, k := range g.head {
 		if ex.have[k]--; ex.have[k] == 0 {
-			delete(ex.have, k)
+			ex.provided.remove(k)
 			if ex.need[k] > 0 {
-				ex.uncovered[k] = true
+				ex.uncovered.add(k)
 			}
 		}
 	}
-	for _, k := range ex.p.prodKeys[qi] {
+	for _, k := range ex.p.prodIDs[qi] {
 		ex.futureProd[k]++
 	}
 }
 
 func (ex *exactSolver) decideSkip(qi int) {
-	for _, k := range ex.p.prodKeys[qi] {
+	for _, k := range ex.p.prodIDs[qi] {
 		ex.futureProd[k]--
 	}
 }
 
 func (ex *exactSolver) undoSkip(qi int) {
-	for _, k := range ex.p.prodKeys[qi] {
+	for _, k := range ex.p.prodIDs[qi] {
 		ex.futureProd[k]++
 	}
 }
 
 // stateKey canonicalizes the subtree-relevant search state at position i:
 // the uncovered obligations (all of which need a future head) plus the
-// already-provided head keys that some grounding at position >= i still
+// already-provided head atoms that some grounding at position >= i still
 // posts. Counts are irrelevant to the suffix — coverage is boolean — so
 // two prefixes reaching the same (position, obligations, useful heads)
-// triple have identical suffix feasibility.
-func (ex *exactSolver) stateKey(i int) string {
-	keys := make([]string, 0, len(ex.uncovered)+len(ex.have))
-	for k := range ex.uncovered {
-		keys = append(keys, "u\x00"+k)
+// triple have identical suffix feasibility. The key is i followed by the
+// sorted tagged ids (id<<1 for an obligation, id<<1|1 for a head), all as
+// uvarints, in a scratch buffer valid until the next call.
+func (ex *exactSolver) stateKey(i int) []byte {
+	ids := ex.stateIDs[:0]
+	for _, k := range ex.uncovered.list {
+		ids = append(ids, k<<1)
 	}
-	for k := range ex.have {
-		if last, ok := ex.postLastPos[k]; ok && last >= i {
-			keys = append(keys, "h\x00"+k)
+	for _, k := range ex.provided.list {
+		if ex.postLastPos[k] >= int32(i) {
+			ids = append(ids, k<<1|1)
 		}
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.Grow(8 + len(keys)*24)
-	b.WriteString(strconv.Itoa(i))
-	b.WriteByte('\x01')
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\x01')
+	slices.Sort(ids)
+	buf := binary.AppendUvarint(ex.stateBuf[:0], uint64(i))
+	for _, id := range ids {
+		buf = binary.AppendUvarint(buf, uint64(id))
 	}
-	return b.String()
+	ex.stateIDs, ex.stateBuf = ids, buf
+	return buf
 }
 
 // greedySolver is the pre-exact closure search, kept as the budget
@@ -458,7 +580,7 @@ func (ex *exactSolver) stateKey(i int) string {
 type greedySolver struct {
 	p          *problem
 	chosen     []int
-	chosenHead map[string]int // atom key -> refcount among chosen heads
+	chosenHead []int32 // atom id -> refcount among chosen heads
 	steps      int
 }
 
@@ -468,7 +590,7 @@ type greedySolver struct {
 const greedyBudget = DefaultSolveBudget
 
 // solveComponent runs the greedy closure over one component. Obligation
-// keys never cross components, so operating on the shared global
+// atoms never cross components, so operating on the shared global
 // chosen/chosenHead state is equivalent to solving the component alone.
 func (g *greedySolver) solveComponent(comp []int, steps *int) {
 	for _, qi := range comp {
@@ -507,10 +629,11 @@ func (g *greedySolver) selectGrounding(qi, gi int, trail *[]int) bool {
 	}
 	g.chosen[qi] = gi
 	*trail = append(*trail, qi)
-	for _, k := range g.p.headKeys[qi][gi] {
+	ids := g.p.ids[qi][gi]
+	for _, k := range ids.head {
 		g.chosenHead[k]++
 	}
-	for _, k := range g.p.postKeys[qi][gi] {
+	for _, k := range ids.post {
 		if !g.cover(k, trail) {
 			return false
 		}
@@ -518,16 +641,16 @@ func (g *greedySolver) selectGrounding(qi, gi int, trail *[]int) bool {
 	return true
 }
 
-// cover ensures the ground atom key is among chosen heads, selecting a
-// producer if needed. Alternatives are tried with local backtracking.
-func (g *greedySolver) cover(key string, trail *[]int) bool {
-	if g.chosenHead[key] > 0 {
+// cover ensures atom k is among chosen heads, selecting a producer if
+// needed. Alternatives are tried with local backtracking.
+func (g *greedySolver) cover(k int32, trail *[]int) bool {
+	if g.chosenHead[k] > 0 {
 		return true
 	}
-	for _, pr := range g.p.producers[key] {
+	for _, pr := range g.p.producers(k) {
 		if g.chosen[pr.query] >= 0 {
 			// Already selected with a different grounding; its head did not
-			// contain key (else chosenHead would be positive), and a query
+			// contain k (else chosenHead would be positive), and a query
 			// may contribute at most one grounding.
 			continue
 		}
@@ -550,10 +673,8 @@ func (g *greedySolver) unselect(qi int) {
 	if gi < 0 {
 		return
 	}
-	for _, k := range g.p.headKeys[qi][gi] {
-		if g.chosenHead[k]--; g.chosenHead[k] == 0 {
-			delete(g.chosenHead, k)
-		}
+	for _, k := range g.p.ids[qi][gi].head {
+		g.chosenHead[k]--
 	}
 	g.chosen[qi] = -1
 }

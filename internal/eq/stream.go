@@ -2,6 +2,7 @@ package eq
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 
 // Streaming executor: a pull-based nested-loop-with-probe pipeline over the
 // joinPlan. Each join level holds one cursor and one batch buffer; rows are
-// pulled BatchRows at a time, bound into the shared valuation, filtered by
+// pulled BatchRows at a time, bound into the valuation's slots, filtered by
 // the level's pushed-down constraints, and only then does the next level's
 // cursor open. Nothing materializes a whole relation: resident state is one
 // batch per active level, so memory is O(levels x BatchRows) regardless of
@@ -127,13 +128,14 @@ func (c *sliceCursor) Rewind() { c.pos = 0 }
 type streamLevel struct {
 	step *planStep
 	cur  RowCursor     // current cursor (scan: cached+rewound; probe: per valuation)
-	buf  []types.Tuple // current batch
+	buf  []types.Tuple // current batch, backed by *pooled
 	pos  int
+	// pooled is the batch buffer taken from batchBufs for this grounding.
+	pooled *[]types.Tuple
 
 	scanCur   RowCursor     // cached scan cursor, reused via Rewind
 	probeVals []types.Value // reusable probe key buffer
 	probeCur  sliceCursor   // reusable wrapper for non-cursor Probe results
-	bound     []string      // variable names bound by the current row
 }
 
 // groundStream drives one query's streaming join.
@@ -147,12 +149,19 @@ type groundStream struct {
 	stats   *StreamStats
 	pullDur *obs.Histogram
 
-	val      Valuation
+	slots    []types.Value // the current valuation, in the plan's slot layout
 	levels   []streamLevel
 	scanRows map[string][]types.Tuple // non-cursor readers: one Scan per relation
 
+	// Emission scratch: the head and post atoms instantiated from the
+	// slots, and their identity bytes with each atom key's span. A
+	// duplicate is recognized here, before anything is allocated for it.
+	atoms []GroundAtom
+	ident []byte
+	spans []int
+
 	out  []*Grounding
-	seen map[string]bool
+	seen map[string]struct{}
 	max  int
 }
 
@@ -172,16 +181,46 @@ func newGroundStream(q *Query, plan *joinPlan, r Reader, opts GroundOptions) *gr
 		batch:   batch,
 		stats:   opts.Stats,
 		pullDur: opts.PullDur,
-		val:     make(Valuation),
-		seen:    make(map[string]bool),
+		slots:   make([]types.Value, len(plan.vars)),
+		seen:    make(map[string]struct{}),
 		max:     opts.MaxGroundings,
 	}
 	s.levels = make([]streamLevel, len(plan.steps))
 	for i := range s.levels {
-		s.levels[i].step = &plan.steps[i]
-		s.levels[i].buf = make([]types.Tuple, 0, batch)
+		lv := &s.levels[i]
+		lv.step = &plan.steps[i]
+		lv.pooled, _ = batchBufs.Get().(*[]types.Tuple)
+		if lv.pooled == nil || cap(*lv.pooled) < batch {
+			buf := make([]types.Tuple, 0, batch)
+			lv.pooled = &buf
+		}
+		lv.buf = (*lv.pooled)[:0]
+	}
+	s.atoms = make([]GroundAtom, 0, len(plan.head)+len(plan.post))
+	for _, as := range [2][]slotAtom{plan.head, plan.post} {
+		for _, a := range as {
+			s.atoms = append(s.atoms, GroundAtom{Rel: a.rel, Args: make(types.Tuple, len(a.args))})
+		}
 	}
 	return s
+}
+
+// batchBufs recycles the join levels' batch buffers across grounding
+// calls: every run re-grounds the whole pending set, and each query needs
+// one BatchRows-row buffer (6 KB at the default) per join level.
+var batchBufs sync.Pool // of *[]types.Tuple
+
+// release returns the batch buffers to batchBufs, cleared so the pool
+// keeps no rows alive. The stream must not be used afterwards.
+func (s *groundStream) release() {
+	for i := range s.levels {
+		lv := &s.levels[i]
+		buf := (*lv.pooled)[:cap(*lv.pooled)]
+		clear(buf)
+		*lv.pooled = buf[:0]
+		batchBufs.Put(lv.pooled)
+		lv.pooled, lv.buf = nil, nil
+	}
 }
 
 func (s *groundStream) capped() bool {
@@ -209,18 +248,8 @@ func (s *groundStream) open(i int) error {
 		if lv.probeVals == nil {
 			lv.probeVals = make([]types.Value, len(step.probeCols))
 		}
-		for k, c := range step.probeCols {
-			t := step.atom.Args[c]
-			switch {
-			case !t.IsVar:
-				lv.probeVals[k] = t.Value
-			default:
-				if v, ok := s.val[t.Name]; ok {
-					lv.probeVals[k] = v
-				} else {
-					lv.probeVals[k] = s.plan.eqBound[t.Name]
-				}
-			}
+		for k, t := range step.probeArgs {
+			lv.probeVals[k], _ = t.resolve(s.slots)
 		}
 		cur, err := s.probeCursor(lv, step.atom.Rel, step.probeCols, lv.probeVals)
 		if err != nil {
@@ -305,9 +334,9 @@ func (s *groundStream) refill(i int) (bool, error) {
 }
 
 // join runs levels i.. of the pipeline for the current valuation,
-// identical in structure (bind, eager checks, recurse, unbind) to the
-// materialized executor, but pulling rows batch-wise and stopping the
-// moment the grounding cap is hit.
+// identical in structure (bind, eager checks, recurse) to the materialized
+// executor, but pulling rows batch-wise and stopping the moment the
+// grounding cap is hit.
 func (s *groundStream) join(i int) error {
 	if s.capped() {
 		return nil
@@ -319,7 +348,7 @@ func (s *groundStream) join(i int) error {
 		return err
 	}
 	lv := &s.levels[i]
-	atom := lv.step.atom
+	step := lv.step
 	for {
 		if s.capped() {
 			return nil
@@ -335,43 +364,23 @@ func (s *groundStream) join(i int) error {
 		}
 		row := lv.buf[lv.pos]
 		lv.pos++
-		if len(row) != len(atom.Args) {
-			return fmt.Errorf("eq: atom %s has arity %d but relation has arity %d", atom, len(atom.Args), len(row))
+		if len(row) != len(step.match) {
+			return fmt.Errorf("eq: atom %s has arity %d but relation has arity %d", step.atom, len(step.match), len(row))
 		}
-		lv.bound = lv.bound[:0]
+		if !s.bind(step.match, row) {
+			continue
+		}
+		// Pushed-down selections: constraints that became fully bound at
+		// this level, applied before any deeper cursor opens.
 		ok := true
-		for j, t := range atom.Args {
-			if t.IsVar {
-				if existing, isBound := s.val[t.Name]; isBound {
-					if !existing.Equal(row[j]) {
-						ok = false
-						break
-					}
-				} else {
-					if c, isEq := s.plan.eqBound[t.Name]; isEq && !c.Equal(row[j]) {
-						ok = false
-						break
-					}
-					s.val[t.Name] = row[j]
-					lv.bound = append(lv.bound, t.Name)
-				}
-			} else if !t.Value.Equal(row[j]) {
+		for _, c := range step.conds {
+			holds, err := c.eval(s.slots)
+			if err != nil {
+				return err
+			}
+			if !holds {
 				ok = false
 				break
-			}
-		}
-		if ok {
-			// Pushed-down selections: constraints that became fully bound at
-			// this level, applied before any deeper cursor opens.
-			for _, c := range lv.step.checks {
-				holds, err := c.eval(s.val)
-				if err != nil {
-					return err
-				}
-				if !holds {
-					ok = false
-					break
-				}
 			}
 		}
 		if ok {
@@ -381,19 +390,43 @@ func (s *groundStream) join(i int) error {
 			// The recursion may have swapped deeper levels' cursors; this
 			// level's state is untouched, continue the batch walk.
 		}
-		for _, name := range lv.bound {
-			delete(s.val, name)
+	}
+}
+
+// bind matches row against a level's argument positions, storing the
+// values of the variables the level binds into their slots. A rejected row
+// may leave some of them written; nothing reads those slots before the
+// level's next row overwrites them.
+func (s *groundStream) bind(match []argMatch, row types.Tuple) bool {
+	for j, m := range match {
+		switch m.op {
+		case argConst:
+			if !m.val.Equal(row[j]) {
+				return false
+			}
+		case argCheck:
+			if !s.slots[m.slot].Equal(row[j]) {
+				return false
+			}
+		default:
+			if m.eq && !m.val.Equal(row[j]) {
+				return false
+			}
+			s.slots[m.slot] = row[j]
 		}
 	}
+	return true
 }
 
 // emit instantiates the current valuation into a grounding, applying the
 // residual constraints (ones no join level fully binds — evaluating them
 // surfaces the unbound-variable error for constraints over non-body
-// variables, exactly as the materialized path did).
+// variables, exactly as the materialized path did). The head and post
+// atoms are instantiated into scratch and keyed there; only a grounding
+// that survives deduplication is allocated.
 func (s *groundStream) emit() error {
-	for _, c := range s.plan.final {
-		ok, err := c.eval(s.val)
+	for _, c := range s.plan.finalConds {
+		ok, err := c.eval(s.slots)
 		if err != nil {
 			return err
 		}
@@ -401,25 +434,27 @@ func (s *groundStream) emit() error {
 			return nil
 		}
 	}
-	g := &Grounding{Val: s.val.clone()}
-	for _, a := range s.q.Head {
-		ga, err := a.instantiate(s.val)
-		if err != nil {
-			return err
+	k := 0
+	for _, as := range [2][]slotAtom{s.plan.head, s.plan.post} {
+		for _, a := range as {
+			for j, t := range a.args {
+				s.atoms[k].Args[j], _ = t.resolve(s.slots)
+			}
+			k++
 		}
-		g.Head = append(g.Head, ga)
 	}
-	for _, a := range s.q.Post {
-		ga, err := a.instantiate(s.val)
-		if err != nil {
-			return err
-		}
-		g.Post = append(g.Post, ga)
+	nh := len(s.plan.head)
+	s.ident, s.spans = appendIdent(s.ident[:0], s.atoms[:nh], s.atoms[nh:], s.spans[:0])
+	if _, dup := s.seen[string(s.ident)]; dup {
+		return nil
 	}
-	if k := g.key(); !s.seen[k] {
-		s.seen[k] = true
-		s.out = append(s.out, g)
+	ident := string(s.ident)
+	s.seen[ident] = struct{}{}
+	val := make(Valuation, len(s.plan.vars))
+	for slot, name := range s.plan.vars {
+		val[name] = s.slots[slot]
 	}
+	s.out = append(s.out, newGrounding(s.atoms, nh, val, ident, s.spans))
 	return nil
 }
 
@@ -431,6 +466,7 @@ func GroundWith(q *Query, r Reader, opts GroundOptions) ([]*Grounding, error) {
 	}
 	plan := planQuery(q, r)
 	s := newGroundStream(q, plan, r, opts)
+	defer s.release()
 	if err := s.join(0); err != nil {
 		return nil, err
 	}

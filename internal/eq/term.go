@@ -16,7 +16,8 @@
 package eq
 
 import (
-	"fmt"
+	"errors"
+	"strconv"
 	"strings"
 
 	"repro/internal/types"
@@ -63,7 +64,7 @@ func (a Atom) String() string {
 	for i, t := range a.Args {
 		parts[i] = t.String()
 	}
-	return fmt.Sprintf("%s(%s)", a.Rel, strings.Join(parts, ", "))
+	return a.Rel + "(" + strings.Join(parts, ", ") + ")"
 }
 
 // vars appends the variable names of the atom to out.
@@ -75,24 +76,6 @@ func (a Atom) vars(out map[string]bool) {
 	}
 }
 
-// instantiate applies a valuation to the atom's arguments; every variable
-// must be bound.
-func (a Atom) instantiate(val Valuation) (GroundAtom, error) {
-	args := make(types.Tuple, len(a.Args))
-	for i, t := range a.Args {
-		if t.IsVar {
-			v, ok := val[t.Name]
-			if !ok {
-				return GroundAtom{}, fmt.Errorf("eq: unbound variable %s in %s", t.Name, a)
-			}
-			args[i] = v
-		} else {
-			args[i] = t.Value
-		}
-	}
-	return GroundAtom{Rel: a.Rel, Args: args}, nil
-}
-
 // GroundAtom is an atom with all arguments constant.
 type GroundAtom struct {
 	Rel  string
@@ -100,7 +83,15 @@ type GroundAtom struct {
 }
 
 // Key returns a canonical map key for the ground atom.
-func (g GroundAtom) Key() string { return g.Rel + "|" + g.Args.Key() }
+func (g GroundAtom) Key() string { return string(g.AppendKey(nil)) }
+
+// AppendKey appends the ground atom's Key bytes — the relation name, '|',
+// then the arguments' Tuple key — to dst.
+func (g GroundAtom) AppendKey(dst []byte) []byte {
+	dst = append(dst, g.Rel...)
+	dst = append(dst, '|')
+	return g.Args.AppendKey(dst)
+}
 
 // String renders the ground atom.
 func (g GroundAtom) String() string {
@@ -108,7 +99,7 @@ func (g GroundAtom) String() string {
 	for i, v := range g.Args {
 		parts[i] = v.String()
 	}
-	return fmt.Sprintf("%s(%s)", g.Rel, strings.Join(parts, ", "))
+	return g.Rel + "(" + strings.Join(parts, ", ") + ")"
 }
 
 // CmpOp is a comparison operator in a body constraint.
@@ -139,7 +130,7 @@ func (o CmpOp) String() string {
 	case OpGe:
 		return ">="
 	default:
-		return fmt.Sprintf("CmpOp(%d)", int(o))
+		return "CmpOp(" + strconv.Itoa(int(o)) + ")"
 	}
 }
 
@@ -152,73 +143,32 @@ type Constraint struct {
 
 // String renders the constraint.
 func (c Constraint) String() string {
-	return fmt.Sprintf("%s %s %s", c.Left, c.Op, c.Right)
+	return c.Left.String() + " " + c.Op.String() + " " + c.Right.String()
 }
 
-// eval evaluates the constraint under a valuation; both sides must be
-// bound. SQL three-valued logic: a comparison involving NULL is false.
-func (c Constraint) eval(val Valuation) (bool, error) {
-	l, err := resolve(c.Left, val)
-	if err != nil {
-		return false, err
-	}
-	r, err := resolve(c.Right, val)
-	if err != nil {
-		return false, err
-	}
+// holds applies the operator to two resolved values. SQL three-valued
+// logic: a comparison involving NULL is false.
+func (o CmpOp) holds(l, r types.Value) (bool, error) {
 	if l.IsNull() || r.IsNull() {
 		return false, nil
 	}
-	cmp := l.Compare(r)
-	switch c.Op {
+	switch o {
 	case OpEq:
 		return l.Equal(r), nil
 	case OpNe:
 		return !l.Equal(r), nil
 	case OpLt:
-		return cmp < 0, nil
+		return l.Compare(r) < 0, nil
 	case OpLe:
-		return cmp <= 0, nil
+		return l.Compare(r) <= 0, nil
 	case OpGt:
-		return cmp > 0, nil
+		return l.Compare(r) > 0, nil
 	case OpGe:
-		return cmp >= 0, nil
+		return l.Compare(r) >= 0, nil
 	default:
-		return false, fmt.Errorf("eq: unknown operator %v", c.Op)
+		return false, errors.New("eq: unknown operator " + o.String())
 	}
-}
-
-// bound reports whether every variable the constraint mentions is bound.
-func (c Constraint) bound(val Valuation) bool {
-	for _, t := range []Term{c.Left, c.Right} {
-		if t.IsVar {
-			if _, ok := val[t.Name]; !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func resolve(t Term, val Valuation) (types.Value, error) {
-	if !t.IsVar {
-		return t.Value, nil
-	}
-	v, ok := val[t.Name]
-	if !ok {
-		return types.Null(), fmt.Errorf("eq: unbound variable %s", t.Name)
-	}
-	return v, nil
 }
 
 // Valuation assigns database values to variables.
 type Valuation map[string]types.Value
-
-// clone copies the valuation.
-func (v Valuation) clone() Valuation {
-	out := make(Valuation, len(v))
-	for k, val := range v {
-		out[k] = val
-	}
-	return out
-}

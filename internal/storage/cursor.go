@@ -37,18 +37,25 @@ type ScanCursor struct {
 }
 
 // ScanCursorAsOf opens a cursor over the rows visible to snap. The open
-// captures and sorts the table's chain ids and counts as one scan for
+// captures the table's chain ids, in RowID order, and counts as one scan for
 // ScanCount accounting; the per-batch visibility resolution does not.
 func (t *Table) ScanCursorAsOf(snap Snapshot) *ScanCursor {
 	t.scans.Add(1)
 	t.mu.RLock()
-	ids := make([]RowID, 0, len(t.rows))
-	for id := range t.rows {
-		ids = append(ids, id)
-	}
+	ids := t.appendChainIDs(make([]RowID, 0, len(t.rows)))
 	t.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return &ScanCursor{tbl: t, snap: snap, ids: ids}
+}
+
+// appendChainIDs appends the ids of every row that has a version chain,
+// ascending. Caller holds t.mu.
+func (t *Table) appendChainIDs(ids []RowID) []RowID {
+	for id, vs := range t.rows {
+		if len(vs) > 0 {
+			ids = append(ids, RowID(id))
+		}
+	}
+	return ids
 }
 
 // Clone returns an independent cursor over the same captured ids, reading
@@ -71,7 +78,7 @@ func (c *ScanCursor) Next(buf []types.Tuple, max int) ([]types.Tuple, error) {
 	for c.pos < len(c.ids) && len(buf) < want {
 		id := c.ids[c.pos]
 		c.pos++
-		if row, ok := visibleAt(c.tbl.rows[id], c.snap); ok {
+		if row, ok := visibleAt(c.tbl.chain(id), c.snap); ok {
 			buf = append(buf, row)
 		}
 	}
@@ -116,21 +123,11 @@ func (t *Table) ProbeCursor(snap Snapshot, cols []int, vals []types.Value) (*Pro
 	if ix := t.findIndexByCols(cols); ix != nil {
 		// Bucket key in the index's own column order; the bucket slice is
 		// mutated under the table's write lock, so copy under the read lock.
-		key := make(types.Tuple, len(ix.columns))
-		for i, c := range ix.columns {
-			for j, probe := range cols {
-				if probe == c {
-					key[i] = vals[j]
-					break
-				}
-			}
-		}
-		ids = append(ids, ix.buckets[key.Key()]...)
+		var kb [64]byte
+		var single [1]RowID
+		ids = append(ids, ix.lookup(ix.appendProbeKey(kb[:0], cols, vals), &single)...)
 	} else {
-		ids = make([]RowID, 0, len(t.rows))
-		for id := range t.rows {
-			ids = append(ids, id)
-		}
+		ids = t.appendChainIDs(make([]RowID, 0, len(t.rows)))
 	}
 	t.mu.RUnlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -148,7 +145,7 @@ func (c *ProbeCursor) Next(buf []types.Tuple, max int) ([]types.Tuple, error) {
 	for c.pos < len(c.ids) && len(buf) < want {
 		id := c.ids[c.pos]
 		c.pos++
-		row, ok := visibleAt(c.tbl.rows[id], c.snap)
+		row, ok := visibleAt(c.tbl.chain(id), c.snap)
 		if !ok {
 			continue
 		}

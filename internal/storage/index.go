@@ -14,22 +14,67 @@ import (
 // therefore filter candidates through the reader's visibility check. The
 // index is maintained while the table mutex is held, so it needs no locking
 // of its own.
+//
+// Most keys of a typical index name a single row (a booking's name, a
+// unique column), so a key's only row is kept in one, with no bucket
+// slice; a key moves to many when a second row joins it, and back when
+// it is down to one. A key is in at most one of the two maps.
 type hashIndex struct {
 	name    string
 	columns []int // column positions in the table schema
-	buckets map[string][]RowID
+	one     map[string]RowID
+	many    map[string][]RowID
+	// buf is the key scratch of the write paths (insert, remove), which
+	// run under the table's write lock; read paths key into their own
+	// stack buffers.
+	buf []byte
 }
 
 func newHashIndex(name string, columns []int) *hashIndex {
-	return &hashIndex{name: name, columns: columns, buckets: make(map[string][]RowID)}
+	ix := &hashIndex{name: name, columns: columns}
+	ix.clear()
+	return ix
 }
 
-func (ix *hashIndex) keyFor(row types.Tuple) string {
-	key := make(types.Tuple, len(ix.columns))
-	for i, c := range ix.columns {
-		key[i] = row[c]
+// lookup returns the ids indexed under key. A lone id is returned in
+// single's backing array, so a caller passing a stack array allocates
+// nothing.
+func (ix *hashIndex) lookup(key []byte, single *[1]RowID) []RowID {
+	if id, ok := ix.one[string(key)]; ok {
+		single[0] = id
+		return single[:]
 	}
-	return key.Key()
+	return ix.many[string(key)]
+}
+
+// appendKey appends the bucket key of row (its indexed columns' Tuple key
+// bytes) to dst.
+func (ix *hashIndex) appendKey(dst []byte, row types.Tuple) []byte {
+	for _, c := range ix.columns {
+		dst = row[c].AppendKey(dst)
+	}
+	return dst
+}
+
+// appendProbeKey appends the bucket key of an equality probe whose column
+// positions cols (in any order) equal vals, in the index's own column
+// order. The caller has checked that cols covers the index's columns.
+func (ix *hashIndex) appendProbeKey(dst []byte, cols []int, vals []types.Value) []byte {
+	for _, c := range ix.columns {
+		for j, probe := range cols {
+			if probe == c {
+				dst = vals[j].AppendKey(dst)
+				break
+			}
+		}
+	}
+	return dst
+}
+
+// keyFor returns row's bucket key as a string, for callers that keep it.
+func (ix *hashIndex) keyFor(row types.Tuple) string {
+	ix.buf = ix.appendKey(ix.buf[:0], row)
+	return string(ix.buf)
 }
 
 // insert records id under the row's key; a row id appears at most once
@@ -37,20 +82,41 @@ func (ix *hashIndex) keyFor(row types.Tuple) string {
 // means the caller knows this is the row's first version, so the dedup
 // scan (O(bucket length)) is skipped — bulk loads stay linear.
 func (ix *hashIndex) insert(id RowID, row types.Tuple, fresh bool) {
-	k := ix.keyFor(row)
-	if !fresh {
-		for _, got := range ix.buckets[k] {
-			if got == id {
-				return
+	ix.buf = ix.appendKey(ix.buf[:0], row)
+	if ids, ok := ix.many[string(ix.buf)]; ok {
+		if !fresh {
+			for _, got := range ids {
+				if got == id {
+					return
+				}
 			}
 		}
+		ix.many[string(ix.buf)] = append(ids, id)
+		return
 	}
-	ix.buckets[k] = append(ix.buckets[k], id)
+	if first, ok := ix.one[string(ix.buf)]; ok {
+		if first != id {
+			key := string(ix.buf)
+			delete(ix.one, key)
+			ix.many[key] = []RowID{first, id}
+		}
+		return
+	}
+	ix.one[string(ix.buf)] = id
 }
 
 func (ix *hashIndex) remove(id RowID, row types.Tuple) {
-	k := ix.keyFor(row)
-	ids := ix.buckets[k]
+	ix.buf = ix.appendKey(ix.buf[:0], row)
+	if got, ok := ix.one[string(ix.buf)]; ok {
+		if got == id {
+			delete(ix.one, string(ix.buf))
+		}
+		return
+	}
+	ids, ok := ix.many[string(ix.buf)]
+	if !ok {
+		return
+	}
 	for i, got := range ids {
 		if got == id {
 			ids[i] = ids[len(ids)-1]
@@ -58,14 +124,22 @@ func (ix *hashIndex) remove(id RowID, row types.Tuple) {
 			break
 		}
 	}
-	if len(ids) == 0 {
-		delete(ix.buckets, k)
-	} else {
-		ix.buckets[k] = ids
+	switch len(ids) {
+	case 0:
+		delete(ix.many, string(ix.buf))
+	case 1:
+		key := string(ix.buf)
+		delete(ix.many, key)
+		ix.one[key] = ids[0]
+	default:
+		ix.many[string(ix.buf)] = ids
 	}
 }
 
-func (ix *hashIndex) clear() { ix.buckets = make(map[string][]RowID) }
+func (ix *hashIndex) clear() {
+	ix.one = make(map[string]RowID)
+	ix.many = make(map[string][]RowID)
+}
 
 // CreateIndex builds an equality index named name over the given columns.
 // The index is populated from existing versions.
@@ -84,7 +158,8 @@ func (t *Table) CreateIndex(name string, columns ...string) error {
 		return fmt.Errorf("storage: index %s already exists on %s", name, t.name)
 	}
 	ix := newHashIndex(name, cols)
-	for id, vs := range t.rows {
+	for i, vs := range t.rows {
+		id := RowID(i)
 		first := true
 		for _, v := range vs {
 			if v.row != nil {
@@ -190,12 +265,14 @@ func (t *Table) lookupResolved(columns []string, key types.Tuple, resolve func([
 	if ix := t.findIndex(columns); ix != nil {
 		// Candidates from the bucket may carry the key only in an invisible
 		// version; re-check against the visible row.
-		for _, id := range ix.buckets[key.Key()] {
-			add(id, t.rows[id])
+		var kb [64]byte
+		var single [1]RowID
+		for _, id := range ix.lookup(key.AppendKey(kb[:0]), &single) {
+			add(id, t.chain(id))
 		}
 	} else {
 		for id, vs := range t.rows {
-			add(id, vs)
+			add(RowID(id), vs)
 		}
 	}
 	sort.Sort(&idRowSort{ids: ids, rows: rows})
@@ -292,21 +369,14 @@ func (t *Table) MatchAsOf(snap Snapshot, cols []int, vals []types.Value) ([]type
 		// Build the bucket key in the index's own column order; bucket
 		// candidates may carry the key only in an invisible version, so the
 		// visible row is re-checked by match.
-		key := make(types.Tuple, len(ix.columns))
-		for i, c := range ix.columns {
-			for j, probe := range cols {
-				if probe == c {
-					key[i] = vals[j]
-					break
-				}
-			}
-		}
-		for _, id := range ix.buckets[key.Key()] {
-			add(id, t.rows[id])
+		var kb [64]byte
+		var single [1]RowID
+		for _, id := range ix.lookup(ix.appendProbeKey(kb[:0], cols, vals), &single) {
+			add(id, t.chain(id))
 		}
 	} else {
 		for id, vs := range t.rows {
-			add(id, vs)
+			add(RowID(id), vs)
 		}
 	}
 	sort.Sort(&idRowSort{ids: ids, rows: rows})

@@ -21,7 +21,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -41,8 +40,13 @@ type Table struct {
 	name   string
 	schema *types.Schema
 
-	mu       sync.RWMutex
-	rows     map[RowID][]version // oldest-first version chains
+	mu sync.RWMutex
+	// rows holds the oldest-first version chain of every RowID; nil means
+	// no chain. RowIDs are dense (nextID hands them out, and InsertAt only
+	// reinstates ids handed out before), so indexing a slice by RowID costs
+	// one slice header per row, less than a map slot at the map's load
+	// factor, and scans walk it in RowID order without sorting.
+	rows     [][]version
 	nextID   RowID
 	indexes  map[string]*hashIndex // by index name
 	lastCSN  uint64                // newest CSN stamped into this table
@@ -56,7 +60,6 @@ func NewTable(name string, schema *types.Schema) *Table {
 	return &Table{
 		name:    name,
 		schema:  schema,
-		rows:    make(map[RowID][]version),
 		indexes: make(map[string]*hashIndex),
 	}
 }
@@ -97,9 +100,21 @@ func (t *Table) VersionCount() int {
 	return t.versions
 }
 
+// chain returns id's version chain (nil when it has none). Caller holds
+// t.mu.
+func (t *Table) chain(id RowID) []version {
+	if id < 0 || id >= RowID(len(t.rows)) {
+		return nil
+	}
+	return t.rows[id]
+}
+
 // appendVersion installs a version at the chain tail and indexes its key.
 // Caller holds t.mu.
 func (t *Table) appendVersion(id RowID, v version) {
+	for RowID(len(t.rows)) <= id {
+		t.rows = append(t.rows, nil)
+	}
 	fresh := len(t.rows[id]) == 0
 	t.rows[id] = append(t.rows[id], v)
 	t.versions++
@@ -160,9 +175,12 @@ func (t *Table) InsertAtCSN(id RowID, row types.Tuple, csn uint64) error {
 	if err := t.schema.Validate(row); err != nil {
 		return fmt.Errorf("storage: insert-at into %s: %w", t.name, err)
 	}
+	if id < 0 {
+		return fmt.Errorf("storage: insert-at into %s: invalid row id %d", t.name, id)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, live := latestVisible(t.rows[id], 0); live {
+	if _, live := latestVisible(t.chain(id), 0); live {
 		return fmt.Errorf("storage: %s row %d already exists", t.name, id)
 	}
 	t.appendVersion(id, version{csn: csn, row: row.Clone()})
@@ -180,7 +198,7 @@ func (t *Table) updateVersion(id RowID, row types.Tuple, txID, csn uint64) (type
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, live := latestVisible(t.rows[id], txID)
+	old, live := latestVisible(t.chain(id), txID)
 	if !live {
 		return nil, fmt.Errorf("storage: %s row %d not found", t.name, id)
 	}
@@ -209,7 +227,7 @@ func (t *Table) UpdateCSN(id RowID, row types.Tuple, csn uint64) (types.Tuple, e
 func (t *Table) deleteVersion(id RowID, txID, csn uint64) (types.Tuple, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, live := latestVisible(t.rows[id], txID)
+	old, live := latestVisible(t.chain(id), txID)
 	if !live {
 		return nil, fmt.Errorf("storage: %s row %d not found", t.name, id)
 	}
@@ -240,7 +258,7 @@ func (t *Table) DeleteCSN(id RowID, csn uint64) (types.Tuple, error) {
 func (t *Table) Stamp(txID uint64, id RowID, csn uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	vs := t.rows[id]
+	vs := t.chain(id)
 	for i := range vs {
 		if !vs[i].committed() && vs[i].tx == txID {
 			vs[i].csn = csn
@@ -257,7 +275,7 @@ func (t *Table) Stamp(txID uint64, id RowID, csn uint64) {
 func (t *Table) Rollback(txID uint64, id RowID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	vs := t.rows[id]
+	vs := t.chain(id)
 	kept := vs[:0]
 	var removed []types.Tuple
 	for _, v := range vs {
@@ -274,7 +292,7 @@ func (t *Table) Rollback(txID uint64, id RowID) {
 		return
 	}
 	if len(kept) == 0 {
-		delete(t.rows, id)
+		t.rows[id] = nil
 	} else {
 		t.rows[id] = kept
 	}
@@ -314,7 +332,7 @@ func (t *Table) unindexOrphans(id RowID, kept []version, removed []types.Tuple) 
 func (t *Table) GetTx(reader uint64, id RowID) (types.Tuple, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row, ok := latestVisible(t.rows[id], reader)
+	row, ok := latestVisible(t.chain(id), reader)
 	if !ok {
 		return nil, false
 	}
@@ -328,7 +346,7 @@ func (t *Table) Get(id RowID) (types.Tuple, bool) { return t.GetTx(0, id) }
 func (t *Table) GetAsOf(snap Snapshot, id RowID) (types.Tuple, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row, ok := visibleAt(t.rows[id], snap)
+	row, ok := visibleAt(t.chain(id), snap)
 	if !ok {
 		return nil, false
 	}
@@ -348,17 +366,12 @@ func (t *Table) ScanCount() int64 { return t.scans.Load() }
 func (t *Table) scanResolved(resolve func([]version) (types.Tuple, bool), fn func(id RowID, row types.Tuple) bool) {
 	t.scans.Add(1)
 	t.mu.RLock()
-	ids := make([]RowID, 0, len(t.rows))
-	for id := range t.rows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		row, ok := resolve(t.rows[id])
+	for id, vs := range t.rows {
+		row, ok := resolve(vs)
 		if !ok {
 			continue
 		}
-		if !fn(id, row) {
+		if !fn(RowID(id), row) {
 			break
 		}
 	}
@@ -416,7 +429,7 @@ func (t *Table) AppendAllAsOf(snap Snapshot, buf []types.Tuple) []types.Tuple {
 func (t *Table) CommittedCSN(id RowID) (uint64, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	vs := t.rows[id]
+	vs := t.chain(id)
 	for i := len(vs) - 1; i >= 0; i-- {
 		if vs[i].committed() {
 			return vs[i].csn, true
@@ -429,7 +442,7 @@ func (t *Table) CommittedCSN(id RowID) (uint64, bool) {
 func (t *Table) Truncate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.rows = make(map[RowID][]version)
+	t.rows = nil
 	t.versions = 0
 	for _, idx := range t.indexes {
 		idx.clear()
@@ -446,7 +459,8 @@ func (t *Table) GC(watermark uint64) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	pruned := 0
-	for id, vs := range t.rows {
+	for i, vs := range t.rows {
+		id := RowID(i)
 		boundary := -1
 		for i := len(vs) - 1; i >= 0; i-- {
 			if vs[i].committed() && vs[i].csn <= watermark {
@@ -474,7 +488,7 @@ func (t *Table) GC(watermark uint64) int {
 		pruned += keepFrom
 		t.versions -= keepFrom
 		if len(kept) == 0 {
-			delete(t.rows, id)
+			t.rows[id] = nil
 		} else {
 			t.rows[id] = kept
 		}

@@ -207,3 +207,86 @@ func TestGCRetainsUncommittedVersions(t *testing.T) {
 		t.Errorf("stamped version after GC: %v, %v", row, ok)
 	}
 }
+
+// TestIndexKeyMovesBetweenSingleAndShared walks one key through the
+// index's two maps: a lone row lives in one, a second row moves the key to
+// many, and rolling rows back moves it back and then drops it. Lookups see
+// the same ids throughout.
+func TestIndexKeyMovesBetweenSingleAndShared(t *testing.T) {
+	tbl := NewTable("T", townSchema())
+	if err := tbl.CreateIndex("by_town", "town"); err != nil {
+		t.Fatal(err)
+	}
+	ix := tbl.indexes["by_town"]
+	sfo := types.Tuple{types.Str("SFO")}
+	state := func() (int, int) { return len(ix.one), len(ix.many) }
+	lookup := func(want ...RowID) {
+		t.Helper()
+		got, err := tbl.LookupTx(9, []string{"town"}, sfo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("lookup(SFO) = %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("lookup(SFO) = %v, want %v", got, want)
+			}
+		}
+	}
+	a, _ := tbl.InsertTx(9, kv(1, "SFO"))
+	if one, many := state(); one != 1 || many != 0 {
+		t.Fatalf("one row: one=%d many=%d", one, many)
+	}
+	lookup(a)
+	b, _ := tbl.InsertTx(9, kv(2, "SFO"))
+	c, _ := tbl.InsertTx(8, kv(3, "SFO"))
+	if one, many := state(); one != 0 || many != 1 {
+		t.Fatalf("three rows: one=%d many=%d", one, many)
+	}
+	tbl.Rollback(8, c)
+	lookup(a, b)
+	tbl.Rollback(9, b)
+	if one, many := state(); one != 1 || many != 0 {
+		t.Fatalf("back to one row: one=%d many=%d", one, many)
+	}
+	lookup(a)
+	tbl.Rollback(9, a)
+	if one, many := state(); one != 0 || many != 0 {
+		t.Fatalf("no rows: one=%d many=%d", one, many)
+	}
+	lookup()
+}
+
+// TestRowsByIDWithGaps: chains are kept by RowID, so reinstating rows
+// under ids past the end leaves gaps that scans skip, in RowID order, and
+// a negative id is refused.
+func TestRowsByIDWithGaps(t *testing.T) {
+	tbl := NewTable("T", townSchema())
+	for _, id := range []RowID{5, 2} {
+		if err := tbl.InsertAt(id, kv(int64(id), "SFO")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.InsertAt(-1, kv(0, "SFO")); err == nil {
+		t.Fatal("InsertAt(-1) succeeded")
+	}
+	var ids []RowID
+	tbl.Scan(func(id RowID, _ types.Tuple) bool {
+		ids = append(ids, id)
+		return true
+	})
+	if len(ids) != 2 || ids[0] != 2 || ids[1] != 5 {
+		t.Fatalf("scan ids = %v, want [2 5]", ids)
+	}
+	if _, ok := tbl.Get(3); ok {
+		t.Fatal("Get of a gap found a row")
+	}
+	if _, ok := tbl.Get(99); ok {
+		t.Fatal("Get past the end found a row")
+	}
+	if id, err := tbl.Insert(kv(6, "NYC")); err != nil || id != 6 {
+		t.Fatalf("next insert got id %d (%v), want 6", id, err)
+	}
+}

@@ -2,8 +2,8 @@ package types
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
+	"strconv"
 	"strings"
 )
 
@@ -67,25 +67,39 @@ func (t Tuple) String() string {
 
 // Key returns a canonical string key usable as a map key; distinct tuples
 // produce distinct keys (kind-tagged, length-prefixed encoding).
-func (t Tuple) Key() string {
-	var b strings.Builder
+func (t Tuple) Key() string { return string(t.AppendKey(nil)) }
+
+// AppendKey appends the tuple's Key bytes to dst and returns the extended
+// slice. Building into a reused buffer and looking up with m[string(buf)]
+// keys a map without allocating.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for _, v := range t {
-		k := v.Kind()
-		// Fold dates into ints so Key agrees with Equal's int/date pairing.
-		if k == KindDate {
-			k = KindInt
-		}
-		fmt.Fprintf(&b, "%d:", uint8(k))
-		switch k {
-		case KindString:
-			fmt.Fprintf(&b, "%d:%s;", len(v.Str64()), v.Str64())
-		case KindNull:
-			b.WriteByte(';')
-		default:
-			fmt.Fprintf(&b, "%d;", v.i)
-		}
+		dst = v.AppendKey(dst)
 	}
-	return b.String()
+	return dst
+}
+
+// AppendKey appends the value's Key encoding to dst: the kind tag (dates
+// folded into ints, so the key agrees with Equal's int/date pairing) and
+// ':', then the byte length, ':' and the bytes of a string, nothing for
+// NULL, or the decimal payload otherwise, closed by ';'.
+func (v Value) AppendKey(dst []byte) []byte {
+	k := v.kind
+	if k == KindDate {
+		k = KindInt
+	}
+	dst = strconv.AppendUint(dst, uint64(k), 10)
+	dst = append(dst, ':')
+	switch k {
+	case KindString:
+		dst = strconv.AppendInt(dst, int64(len(v.s)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, v.s...)
+	case KindNull:
+	default:
+		dst = strconv.AppendInt(dst, v.i, 10)
+	}
+	return append(dst, ';')
 }
 
 // Hash returns a 64-bit hash of the tuple consistent with Equal.

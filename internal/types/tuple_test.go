@@ -1,6 +1,7 @@
 package types
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -152,5 +153,84 @@ func TestSchema(t *testing.T) {
 	want := "(fno INT, fdate DATE, dest VARCHAR)"
 	if s.String() != want {
 		t.Errorf("String() = %q, want %q", s.String(), want)
+	}
+}
+
+// TestTupleKeyGolden pins the key encoding byte for byte: kind tag (dates
+// folded to ints), then a length-prefixed payload for strings, an empty
+// payload for NULL and the decimal integer otherwise, each value closed by
+// ';'. Index buckets and grounding identities are built from these bytes,
+// so AppendKey and Key must emit exactly them.
+func TestTupleKeyGolden(t *testing.T) {
+	cases := []struct {
+		tu   Tuple
+		want string
+	}{
+		{Tuple{}, ""},
+		{Tuple{Int(0)}, "1:0;"},
+		{Tuple{Int(-42)}, "1:-42;"},
+		{Tuple{Int(math.MinInt64)}, "1:-9223372036854775808;"},
+		{Tuple{Int(math.MaxInt64)}, "1:9223372036854775807;"},
+		{Tuple{MustDate("2011-05-06")}, "1:15100;"},
+		{Tuple{Date(-3)}, "1:-3;"},
+		{Tuple{Null()}, "0:;"},
+		{Tuple{Str("")}, "2:0:;"},
+		{Tuple{Str("a:b;c|d#e")}, "2:9:a:b;c|d#e;"},
+		{Tuple{Str("é")}, "2:2:é;"},
+		{Tuple{Bool(true)}, "3:1;"},
+		{Tuple{Bool(false)}, "3:0;"},
+		{Tuple{Str("Mickey"), Int(122), MustDate("2011-05-03"), Null(), Bool(true)},
+			"2:6:Mickey;1:122;1:15097;0:;3:1;"},
+	}
+	for _, c := range cases {
+		if got := c.tu.Key(); got != c.want {
+			t.Errorf("Key(%v) = %q, want %q", c.tu, got, c.want)
+		}
+		prefix := []byte("prefix")
+		if got := string(c.tu.AppendKey(prefix)); got != "prefix"+c.want {
+			t.Errorf("AppendKey(%v) = %q, want %q", c.tu, got, "prefix"+c.want)
+		}
+	}
+}
+
+// TestTupleKeyEqualIffEqual: over random tuples drawn from a small domain
+// (so equal pairs are common), Key(a) == Key(b) exactly when a.Equal(b).
+func TestTupleKeyEqualIffEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	strs := []string{"", ":", ";", "1:", "0:;", "a", "|#"}
+	randVal := func() Value {
+		switch rng.Intn(5) {
+		case 0:
+			return Int(int64(rng.Intn(5) - 2))
+		case 1:
+			return Str(strs[rng.Intn(len(strs))])
+		case 2:
+			return Null()
+		case 3:
+			return Bool(rng.Intn(2) == 0)
+		default:
+			return Date(int64(rng.Intn(5) - 2))
+		}
+	}
+	equalPairs := 0
+	for i := 0; i < 20000; i++ {
+		a := make(Tuple, rng.Intn(3))
+		b := make(Tuple, rng.Intn(3))
+		for j := range a {
+			a[j] = randVal()
+		}
+		for j := range b {
+			b[j] = randVal()
+		}
+		eq := a.Equal(b)
+		if eq {
+			equalPairs++
+		}
+		if (a.Key() == b.Key()) != eq {
+			t.Fatalf("Key(%v)=%q, Key(%v)=%q, Equal=%v", a, a.Key(), b, b.Key(), eq)
+		}
+	}
+	if equalPairs < 100 {
+		t.Fatalf("only %d equal pairs drawn; the check needs more", equalPairs)
 	}
 }
